@@ -23,7 +23,11 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.resilience import run_campaign
+from repro.resilience import (
+    containment_rate,
+    recovery_latencies,
+    run_campaign,
+)
 
 BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_resilience.json"
 
@@ -36,6 +40,7 @@ SEED = 7
 def test_containment_matrix(benchmark, report):
     result = benchmark.pedantic(
         lambda: run_campaign(
+            "containment",
             backends=BACKENDS, sites=SITES, schedules=2, seed=SEED
         ),
         rounds=1,
@@ -60,9 +65,13 @@ def test_containment_matrix(benchmark, report):
     ]
     assert any(cell["vm_rpc_retries"] > 0 for cell in retried)
 
-    rates = {backend: result.containment_rate(backend) for backend in BACKENDS}
+    rates = {
+        backend: containment_rate(result.cells, backend)
+        for backend in BACKENDS
+    }
     latencies = {
-        backend: result.recovery_latencies(backend) for backend in BACKENDS
+        backend: recovery_latencies(result.cells, backend)
+        for backend in BACKENDS
     }
     mean_recovery = {
         backend: (sum(values) / len(values) if values else None)
@@ -75,7 +84,7 @@ def test_containment_matrix(benchmark, report):
     payload = {
         "seed": SEED,
         "schedules": 2,
-        "policy": result.policy,
+        "policy": result.options["policy"],
         "matrix": matrix,
         "containment_rate": rates,
         "mean_recovery_ns": mean_recovery,
@@ -87,7 +96,7 @@ def test_containment_matrix(benchmark, report):
                     "backend",
                     "site",
                     "seed",
-                    "outcome",
+                    "verdict",
                     "attempts",
                     "injected",
                     "restarts",
@@ -131,10 +140,10 @@ def test_same_seed_identical_matrix(report):
         schedules=2,
         seed=SEED,
     )
-    first = run_campaign(**kwargs)
-    second = run_campaign(**kwargs)
+    first = run_campaign("containment", **kwargs)
+    second = run_campaign("containment", **kwargs)
     assert first.matrix() == second.matrix()
-    assert [c["outcome"] for c in first.cells] == [
-        c["outcome"] for c in second.cells
+    assert [c["verdict"] for c in first.cells] == [
+        c["verdict"] for c in second.cells
     ]
     report.row("resilience", "same seed -> identical matrix: ok")

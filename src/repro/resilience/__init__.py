@@ -9,39 +9,27 @@ compartment misbehaves*.  This package makes that measurable:
   death, lost VM notifications) with seeded schedules;
 - :mod:`repro.resilience.injector` — the :class:`FaultInjector` the
   machine consults at each hook site;
-- :mod:`repro.resilience.campaign` — the campaign driver producing the
-  site × backend containment matrix, plus *recovery campaigns* that
-  crash a durable redis deployment (power failures at the storage
-  sites) and verify that reboot + recovery restores every acknowledged
-  write with no torn record surfacing.
+- :mod:`repro.resilience.engine` — the campaign engine: one loop,
+  verdict matrix and CLI for every fault scenario;
+- :mod:`repro.resilience.campaign` — the containment scenario (the
+  site × backend containment matrix) and the recovery scenario, which
+  crashes a durable redis deployment (power failures at the storage
+  sites) and verifies that reboot + recovery restores every
+  acknowledged write with no torn record surfacing.
 """
 
 from repro.resilience.injector import FaultInjector, InjectionEvent, arm
 from repro.resilience.plan import SITES, FaultSpec, InjectionPlan
 
-#: Names re-exported lazily from repro.resilience.campaign — deferred
-#: so `python -m repro.resilience.campaign` does not import the module
-#: twice (runpy would warn).
-_CAMPAIGN_EXPORTS = (
-    "DEFAULT_BACKENDS",
-    "DEFAULT_SITES",
-    "DEFAULT_RECOVERY_SITES",
-    "CampaignResult",
-    "RecoveryCampaignResult",
-    "default_plan",
-    "default_recovery_plan",
-    "run_campaign",
-    "run_cell",
-    "run_recovery_campaign",
-    "run_recovery_cell",
-)
-
 
 def __getattr__(name: str):
-    if name in _CAMPAIGN_EXPORTS:
-        from repro.resilience import campaign
+    # Campaign names resolve lazily, so `python -m
+    # repro.resilience.engine` does not import the engine twice (runpy
+    # would warn).
+    if name in __all__:
+        from repro.resilience import campaign, engine
 
-        return getattr(campaign, name)
+        return getattr(engine if hasattr(engine, name) else campaign, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -54,12 +42,13 @@ __all__ = [
     "FaultSpec",
     "InjectionEvent",
     "InjectionPlan",
-    "RecoveryCampaignResult",
+    "Scenario",
     "arm",
+    "containment_rate",
     "default_plan",
     "default_recovery_plan",
+    "recovery_latencies",
     "run_campaign",
     "run_cell",
-    "run_recovery_campaign",
     "run_recovery_cell",
 ]

@@ -1,10 +1,13 @@
-"""Seeded fault-injection campaigns → the containment matrix.
+"""The containment and recovery scenarios of the campaign engine.
 
-A campaign runs one workload cell per (backend × fault site × seeded
-schedule): build an image, arm the site's :class:`InjectionPlan`,
-drive an iperf transfer with a bounded retry budget (the supervisor a
-production deployment would have), and classify what the injected
-fault did:
+Both run under :mod:`repro.resilience.engine`, which owns the
+site × schedule × backend loop, the verdict matrix and the CLI.
+
+**Containment** (``--scenario containment``) runs one workload cell
+per (backend × fault site × seeded schedule): build an image, arm the
+site's :class:`InjectionPlan`, drive an iperf transfer with a bounded
+retry budget (the supervisor a production deployment would have), and
+classify what the injected fault did:
 
 - ``recovered``  — the fault fired and the workload still completed
   (VM-RPC retries absorbed it, or the failed compartment restarted);
@@ -17,14 +20,11 @@ fault did:
 - ``not-triggered`` — the site never fired under this backend (e.g.
   VM notification faults on a non-VM backend).
 
-Everything is a pure function of the seed and the simulated machine,
-so the same seed always yields the identical matrix.
-
-**Recovery campaigns** (``--recovery``) run the durability variant:
+**Recovery** (``--scenario recovery``) runs the durability variant:
 a redis server journaling SET/DEL through a gate into the storage
 compartment (``blk`` + ``kv``), power failures injected at the storage
 sites (``blk-torn-write``, ``crash-mid-compaction``,
-``crash-mid-recovery``), and a *recovery verdict* per cell:
+``crash-mid-recovery``), and a verdict per cell:
 
 - ``recovered-state``  — after crash + reboot + recovery, every
   acknowledged (flushed) write reads back exactly, and no torn record
@@ -35,27 +35,19 @@ sites (``blk-torn-write``, ``crash-mid-compaction``,
   escaped the CRC check) — the worst verdict;
 - ``not-triggered``    — the armed fault never fired.
 
-CLI (used by the CI smoke steps)::
-
-    python -m repro.resilience.campaign --backends mpk-shared,vm-rpc \\
-        --sites wild-write --schedules 1 --seed 7 \\
-        --check-contained wild-write
-    python -m repro.resilience.campaign --recovery --schedules 2 \\
-        --seed 11 --check-recovered blk-torn-write
+Everything is a pure function of the seed and the simulated machine,
+so the same seed always yields the identical matrix.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import sys
-
 import random
 
 from repro.core.builder import build_image
 from repro.core.config import BuildConfig
 from repro.machine.faults import MachineError, PowerFailure
+from repro.resilience.engine import Scenario
 from repro.resilience.injector import FaultInjector, arm
 from repro.resilience.plan import InjectionPlan
 
@@ -69,7 +61,7 @@ DEFAULT_SITES = (
     "sched-kill",
     "vm-drop",
 )
-#: Severity order for aggregating schedule outcomes into a matrix cell.
+#: Severity order for aggregating schedule verdicts into a matrix cell.
 _SEVERITY = {"not-triggered": 0, "recovered": 1, "contained": 2, "propagated": 3}
 
 #: Workload shape: a small iperf transfer, netstack isolated from the
@@ -80,27 +72,29 @@ _BUFFER_SIZE = 1024
 _TOTAL_BYTES = 32 * 1024
 
 
+#: Site → its canonical single-fault plan, armed on a seeded plan.
+_PLANS = {
+    "gate-crash": lambda plan: plan.crash_crossing(callee="netstack", nth=4),
+    # A hijacked netstack scribbles into the scheduler's pages — the
+    # cross-compartment corruption isolation must stop.
+    "wild-write": lambda plan: plan.wild_write(
+        victim="sched", callee="netstack", nth=4
+    ),
+    "alloc-exhaustion": lambda plan: plan.exhaust_alloc(heap=None, nth=1),
+    # The iperf thread gets few switch-ins under VM backends (it blocks
+    # on whole rx batches), so keep the trigger early and the schedule
+    # jitter tight or jittered schedules never fire.
+    "sched-kill": lambda plan: plan.kill_thread(thread="iperf", nth=1, jitter=1),
+    "vm-drop": lambda plan: plan.drop_vm_notify(nth=5),
+    "vm-dup": lambda plan: plan.duplicate_vm_notify(nth=5),
+}
+
+
 def default_plan(site: str, seed: int) -> InjectionPlan:
     """The canonical single-fault plan for one site."""
-    plan = InjectionPlan(seed=seed)
-    if site == "gate-crash":
-        return plan.crash_crossing(callee="netstack", nth=4)
-    if site == "wild-write":
-        # A hijacked netstack scribbles into the scheduler's pages —
-        # the cross-compartment corruption isolation must stop.
-        return plan.wild_write(victim="sched", callee="netstack", nth=4)
-    if site == "alloc-exhaustion":
-        return plan.exhaust_alloc(heap=None, nth=1)
-    if site == "sched-kill":
-        # The iperf thread gets few switch-ins under VM backends (it
-        # blocks on whole rx batches), so keep the trigger early and
-        # the schedule jitter tight or jittered schedules never fire.
-        return plan.kill_thread(thread="iperf", nth=1, jitter=1)
-    if site == "vm-drop":
-        return plan.drop_vm_notify(nth=5)
-    if site == "vm-dup":
-        return plan.duplicate_vm_notify(nth=5)
-    raise ValueError(f"unknown fault site {site!r}")
+    if site not in _PLANS:
+        raise ValueError(f"unknown fault site {site!r}")
+    return _PLANS[site](InjectionPlan(seed=seed))
 
 
 def _revive(image) -> None:
@@ -198,13 +192,13 @@ def run_cell(
         else None
     )
     thread_failures = len(image.scheduler.thread_failures)
-    outcome = _classify(injector, completed, failures, thread_failures)
+    verdict = _classify(injector, completed, failures, thread_failures)
     counters = image.machine.cpu.metrics.counters
     cell = {
         "backend": backend,
         "site": site,
         "seed": plan.seed,
-        "outcome": outcome,
+        "verdict": verdict,
         "completed": completed,
         "attempts": used_attempts,
         "injected": injector.fired,
@@ -227,102 +221,59 @@ def run_cell(
     return cell
 
 
-@dataclasses.dataclass
-class CampaignResult:
-    """Everything one campaign produced."""
-
-    seed: int
-    policy: str
-    schedules: int
-    cells: list[dict]
-
-    def matrix(self) -> dict[str, dict[str, str]]:
-        """site → backend → worst outcome across schedules."""
-        table: dict[str, dict[str, str]] = {}
-        for cell in self.cells:
-            row = table.setdefault(cell["site"], {})
-            previous = row.get(cell["backend"])
-            if (
-                previous is None
-                or _SEVERITY[cell["outcome"]] > _SEVERITY[previous]
-            ):
-                row[cell["backend"]] = cell["outcome"]
-        return table
-
-    def containment_rate(self, backend: str) -> float:
-        """Fraction of triggered cells stopped (contained or recovered)."""
-        triggered = [
-            cell
-            for cell in self.cells
-            if cell["backend"] == backend and cell["outcome"] != "not-triggered"
-        ]
-        if not triggered:
-            return 1.0
-        stopped = [
-            cell
-            for cell in triggered
-            if cell["outcome"] in ("contained", "recovered")
-        ]
-        return len(stopped) / len(triggered)
-
-    def recovery_latencies(self, backend: str) -> list[float]:
-        """Recovery latencies (ns) of recovered cells with a retry."""
-        return [
-            cell["recovery_ns"]
-            for cell in self.cells
-            if cell["backend"] == backend and cell["recovery_ns"] is not None
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "policy": self.policy,
-            "schedules": self.schedules,
-            "matrix": self.matrix(),
-            "containment_rate": {
-                backend: self.containment_rate(backend)
-                for backend in sorted({c["backend"] for c in self.cells})
-            },
-            "cells": self.cells,
-        }
+def containment_rate(cells: list[dict], backend: str) -> float:
+    """Fraction of triggered cells stopped (contained or recovered)."""
+    triggered = [
+        cell
+        for cell in cells
+        if cell["backend"] == backend and cell["verdict"] != "not-triggered"
+    ]
+    if not triggered:
+        return 1.0
+    stopped = [
+        cell
+        for cell in triggered
+        if cell["verdict"] in ("contained", "recovered")
+    ]
+    return len(stopped) / len(triggered)
 
 
-def run_campaign(
-    backends=DEFAULT_BACKENDS,
+def recovery_latencies(cells: list[dict], backend: str) -> list[float]:
+    """Recovery latencies (ns) of recovered cells with a retry."""
+    return [
+        cell["recovery_ns"]
+        for cell in cells
+        if cell["backend"] == backend and cell["recovery_ns"] is not None
+    ]
+
+
+def _containment_summary(result) -> dict:
+    backends = sorted({cell["backend"] for cell in result.cells})
+    return {
+        "policy": result.options["policy"],
+        "containment_rate": {
+            backend: containment_rate(result.cells, backend)
+            for backend in backends
+        },
+    }
+
+
+CONTAINMENT = Scenario(
+    name="containment",
     sites=DEFAULT_SITES,
-    schedules: int = 2,
-    seed: int = 0,
-    policy: str = "restart-with-backoff",
-    total_bytes: int = _TOTAL_BYTES,
-) -> CampaignResult:
-    """K seeded schedules per (site × backend); returns the result."""
-    cells = []
-    for site in sites:
-        base = default_plan(site, seed)
-        for schedule in base.schedules(schedules):
-            for backend in backends:
-                cells.append(
-                    run_cell(
-                        backend,
-                        site,
-                        InjectionPlan(schedule.seed, list(schedule.specs)),
-                        policy=policy,
-                        total_bytes=total_bytes,
-                    )
-                )
-    return CampaignResult(
-        seed=seed, policy=policy, schedules=schedules, cells=cells
-    )
-
-
-# --- recovery campaigns (durability under power failure) --------------------
-
-#: Fault sites a recovery campaign arms by default.
-DEFAULT_RECOVERY_SITES = (
-    "blk-torn-write",
-    "crash-mid-compaction",
-    "crash-mid-recovery",
+    known_sites=tuple(_PLANS),
+    backends=DEFAULT_BACKENDS,
+    severity=_SEVERITY,
+    passing=lambda site: ("contained", "recovered"),
+    derive=lambda site, seed, k: default_plan(site, seed).schedules(k),
+    cell=run_cell,
+    options={"policy": "restart-with-backoff"},
+    summary=_containment_summary,
 )
+
+
+# --- recovery scenario (durability under power failure) ---------------------
+
 #: Severity order for aggregating recovery verdicts into a matrix cell.
 _RECOVERY_SEVERITY = {
     "not-triggered": 0,
@@ -340,22 +291,27 @@ _RECOVERY_COMPARTMENTS = [
 ]
 
 
+#: Storage site → its canonical single-fault plan.
+_RECOVERY_PLANS = {
+    "blk-torn-write": lambda plan: plan.torn_blk_flush(nth=4),
+    # Exactly one compaction runs per cell, so the trigger cannot
+    # jitter past it.
+    "crash-mid-compaction": lambda plan: plan.crash_compaction(nth=1, jitter=0),
+    # The first recovery event is the initial open of the empty store;
+    # crash the *post-power-cut* recovery scan instead.  A compacted
+    # log may hold a single segment — one recovery event per reboot —
+    # so the trigger cannot afford jitter.
+    "crash-mid-recovery": lambda plan: plan.crash_recovery(nth=2, jitter=0),
+}
+#: Fault sites a recovery campaign arms by default: all of them.
+DEFAULT_RECOVERY_SITES = tuple(_RECOVERY_PLANS)
+
+
 def default_recovery_plan(site: str, seed: int) -> InjectionPlan:
     """The canonical single-fault plan for one storage site."""
-    plan = InjectionPlan(seed=seed)
-    if site == "blk-torn-write":
-        return plan.torn_blk_flush(nth=4)
-    if site == "crash-mid-compaction":
-        # Exactly one compaction runs per cell, so the trigger cannot
-        # jitter past it.
-        return plan.crash_compaction(nth=1, jitter=0)
-    if site == "crash-mid-recovery":
-        # The first recovery event is the initial open of the empty
-        # store; crash the *post-power-cut* recovery scan instead.  A
-        # compacted log may hold a single segment — one recovery event
-        # per reboot — so the trigger cannot afford jitter.
-        return plan.crash_recovery(nth=2, jitter=0)
-    raise ValueError(f"unknown recovery fault site {site!r}")
+    if site not in _RECOVERY_PLANS:
+        raise ValueError(f"unknown recovery fault site {site!r}")
+    return _RECOVERY_PLANS[site](InjectionPlan(seed=seed))
 
 
 def _recovery_payloads(count: int) -> tuple[list[bytes], dict[bytes, bytes]]:
@@ -519,192 +475,14 @@ def run_recovery_cell(
     }
 
 
-@dataclasses.dataclass
-class RecoveryCampaignResult:
-    """Everything one recovery campaign produced."""
-
-    seed: int
-    schedules: int
-    cells: list[dict]
-
-    def matrix(self) -> dict[str, dict[str, str]]:
-        """site → backend → worst verdict across schedules."""
-        table: dict[str, dict[str, str]] = {}
-        for cell in self.cells:
-            row = table.setdefault(cell["site"], {})
-            previous = row.get(cell["backend"])
-            if (
-                previous is None
-                or _RECOVERY_SEVERITY[cell["verdict"]]
-                > _RECOVERY_SEVERITY[previous]
-            ):
-                row[cell["backend"]] = cell["verdict"]
-        return table
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "schedules": self.schedules,
-            "matrix": self.matrix(),
-            "cells": self.cells,
-        }
-
-
-def run_recovery_campaign(
-    backends=DEFAULT_BACKENDS,
+RECOVERY = Scenario(
+    name="recovery",
     sites=DEFAULT_RECOVERY_SITES,
-    schedules: int = 2,
-    seed: int = 0,
-    sets: int = 40,
-) -> RecoveryCampaignResult:
-    """K seeded schedules per (storage site × backend)."""
-    cells = []
-    for site in sites:
-        base = default_recovery_plan(site, seed)
-        for schedule in base.schedules(schedules):
-            for backend in backends:
-                cells.append(
-                    run_recovery_cell(
-                        backend,
-                        site,
-                        InjectionPlan(schedule.seed, list(schedule.specs)),
-                        sets=sets,
-                    )
-                )
-    return RecoveryCampaignResult(seed=seed, schedules=schedules, cells=cells)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Run a seeded fault-injection campaign"
-    )
-    parser.add_argument(
-        "--backends",
-        default=",".join(DEFAULT_BACKENDS),
-        help="comma-separated isolation backends",
-    )
-    parser.add_argument(
-        "--sites",
-        default=",".join(DEFAULT_SITES),
-        help="comma-separated fault sites",
-    )
-    parser.add_argument("--schedules", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--policy",
-        default="restart-with-backoff",
-        choices=("propagate", "isolate", "restart-with-backoff"),
-    )
-    parser.add_argument(
-        "--json", metavar="FILE", help="write the result JSON ('-' = stdout)"
-    )
-    parser.add_argument(
-        "--check-contained",
-        action="append",
-        default=[],
-        metavar="SITE",
-        help="exit non-zero unless every selected backend contains or "
-        "recovers SITE (CI assertion)",
-    )
-    parser.add_argument(
-        "--recovery",
-        action="store_true",
-        help="run the storage recovery campaign (durability under "
-        "power failure) instead of the containment campaign",
-    )
-    parser.add_argument(
-        "--sets",
-        type=int,
-        default=40,
-        metavar="N",
-        help="durable SETs per recovery cell",
-    )
-    parser.add_argument(
-        "--check-recovered",
-        action="append",
-        default=[],
-        metavar="SITE",
-        help="exit non-zero unless every selected backend earns verdict "
-        "'recovered-state' (or 'not-triggered') for SITE (CI assertion)",
-    )
-    args = parser.parse_args(argv)
-    backends = tuple(b for b in args.backends.split(",") if b)
-    if args.recovery:
-        sites = (
-            tuple(s for s in args.sites.split(",") if s)
-            if args.sites != ",".join(DEFAULT_SITES)
-            else DEFAULT_RECOVERY_SITES
-        )
-        recovery = run_recovery_campaign(
-            backends=backends,
-            sites=sites,
-            schedules=args.schedules,
-            seed=args.seed,
-            sets=args.sets,
-        )
-        matrix = recovery.matrix()
-        for site, row in matrix.items():
-            for backend, verdict in row.items():
-                print(f"{site:20s} x {backend:13s} -> {verdict}")
-        if args.json:
-            payload = json.dumps(recovery.to_dict(), indent=2, sort_keys=True)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w") as handle:
-                    handle.write(payload + "\n")
-        failed = False
-        if not recovery.cells:
-            print("ERROR: campaign produced no cells", file=sys.stderr)
-            failed = True
-        for site in args.check_recovered:
-            row = matrix.get(site, {})
-            for backend in backends:
-                verdict = row.get(backend)
-                if verdict not in ("recovered-state", "not-triggered"):
-                    print(
-                        f"ERROR: {backend} lost durable state at {site} "
-                        f"(verdict: {verdict})",
-                        file=sys.stderr,
-                    )
-                    failed = True
-        return 1 if failed else 0
-    sites = tuple(s for s in args.sites.split(",") if s)
-    result = run_campaign(
-        backends=backends,
-        sites=sites,
-        schedules=args.schedules,
-        seed=args.seed,
-        policy=args.policy,
-    )
-    matrix = result.matrix()
-    for site, row in matrix.items():
-        for backend, outcome in row.items():
-            print(f"{site:18s} x {backend:13s} -> {outcome}")
-    if args.json:
-        payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload + "\n")
-    failed = False
-    if not result.cells:
-        print("ERROR: campaign produced no cells", file=sys.stderr)
-        failed = True
-    for site in args.check_contained:
-        row = matrix.get(site, {})
-        for backend in backends:
-            outcome = row.get(backend)
-            if outcome not in ("contained", "recovered"):
-                print(
-                    f"ERROR: {backend} did not contain {site} "
-                    f"(outcome: {outcome})",
-                    file=sys.stderr,
-                )
-                failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(main())
+    known_sites=DEFAULT_RECOVERY_SITES,
+    backends=DEFAULT_BACKENDS,
+    severity=_RECOVERY_SEVERITY,
+    passing=lambda site: ("recovered-state", "not-triggered"),
+    derive=lambda site, seed, k: default_recovery_plan(site, seed).schedules(k),
+    cell=run_recovery_cell,
+    options={"sets": 40},
+)

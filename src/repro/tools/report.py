@@ -163,45 +163,30 @@ def collect(
 
 def collect_resilience(seed: int = 0, schedules: int = 1) -> dict:
     """Run a default containment campaign; summary for the report."""
-    from repro.resilience import run_campaign
+    from repro.resilience import recovery_latencies, run_campaign
 
-    result = run_campaign(schedules=schedules, seed=seed)
-    backends = sorted({cell["backend"] for cell in result.cells})
-    return {
-        "seed": result.seed,
-        "policy": result.policy,
-        "schedules": result.schedules,
-        "matrix": result.matrix(),
-        "containment_rate": {
-            backend: result.containment_rate(backend) for backend in backends
-        },
-        "recovery_ns": {
-            backend: result.recovery_latencies(backend) for backend in backends
-        },
+    result = run_campaign("containment", schedules=schedules, seed=seed)
+    summary = result.to_dict()
+    del summary["cells"]
+    summary["recovery_ns"] = {
+        backend: recovery_latencies(result.cells, backend)
+        for backend in summary["containment_rate"]
     }
+    return summary
 
 
 def collect_recovery(seed: int = 0, schedules: int = 1) -> dict:
     """Run a storage recovery campaign; summary for the report."""
-    from repro.resilience import run_recovery_campaign
+    from repro.resilience import run_campaign
 
-    result = run_recovery_campaign(schedules=schedules, seed=seed)
-    return {
-        "seed": result.seed,
-        "schedules": result.schedules,
-        "matrix": result.matrix(),
-        "cells": [
-            {
-                "site": cell["site"],
-                "backend": cell["backend"],
-                "verdict": cell["verdict"],
-                "acked": cell["acked"],
-                "restored": cell["restored"],
-                "torn_records_discarded": cell["torn_records_discarded"],
-            }
-            for cell in result.cells
-        ],
-    }
+    result = run_campaign("recovery", schedules=schedules, seed=seed)
+    keys = ("site", "backend", "verdict", "acked", "restored",
+            "torn_records_discarded")
+    summary = result.to_dict()
+    summary["cells"] = [
+        {key: cell[key] for key in keys} for cell in result.cells
+    ]
+    return summary
 
 
 def collect_cluster(seed: int = 0, sets: int = 18) -> dict:
@@ -212,9 +197,9 @@ def collect_cluster(seed: int = 0, sets: int = 18) -> dict:
     :func:`machine_telemetry`) and the cluster campaign's
     site × backend verdict matrix.
     """
-    from repro.cluster.campaign import run_cluster_campaign
     from repro.cluster.client import ClusterClient
     from repro.cluster.cluster import RedisCluster
+    from repro.resilience import run_campaign
 
     cluster = RedisCluster(shards=("s0", "s1", "s2"), replicate=True)
     client = ClusterClient(cluster)
@@ -229,12 +214,23 @@ def collect_cluster(seed: int = 0, sets: int = 18) -> dict:
         "replication_lag": cluster.replication_lag(),
         "machine": machine_telemetry(cluster.images()),
     }
-    campaign = run_cluster_campaign(seed=seed, sets=sets)
+    campaign = run_campaign("cluster", seed=seed, sets=sets)
     return {
         "seed": seed,
         "snapshot": snapshot,
         "matrix": campaign.matrix(),
     }
+
+
+def _matrix_lines(title: str, matrix: dict[str, dict]) -> list[str]:
+    """A campaign's site x backend verdict table, one row per site."""
+    backends = sorted({backend for row in matrix.values() for backend in row})
+    lines = ["", f"== {title} (site x backend) =="]
+    lines.append("  " + " " * 22 + "".join(f"{b:>21s}" for b in backends))
+    for site, row in sorted(matrix.items()):
+        cells = "".join(f"{row.get(b, '-'):>21s}" for b in backends)
+        lines.append(f"  {site:22s}{cells}")
+    return lines
 
 
 def render_text(
@@ -271,12 +267,7 @@ def render_text(
         )
     resilience = data.get("resilience")
     if resilience:
-        lines += ["", "== Containment matrix (site x backend) =="]
-        backends = sorted(resilience["containment_rate"])
-        lines.append("  " + " " * 18 + "".join(f"{b:>14s}" for b in backends))
-        for site, row in sorted(resilience["matrix"].items()):
-            cells = "".join(f"{row.get(b, '-'):>14s}" for b in backends)
-            lines.append(f"  {site:18s}{cells}")
+        lines += _matrix_lines("Containment matrix", resilience["matrix"])
         rates = "  ".join(
             f"{backend}={rate:.0%}"
             for backend, rate in resilience["containment_rate"].items()
@@ -285,14 +276,7 @@ def render_text(
 
     recovery = data.get("recovery")
     if recovery:
-        lines += ["", "== Recovery verdicts (site x backend) =="]
-        backends = sorted(
-            {backend for row in recovery["matrix"].values() for backend in row}
-        )
-        lines.append("  " + " " * 22 + "".join(f"{b:>16s}" for b in backends))
-        for site, row in sorted(recovery["matrix"].items()):
-            cells = "".join(f"{row.get(b, '-'):>16s}" for b in backends)
-            lines.append(f"  {site:22s}{cells}")
+        lines += _matrix_lines("Recovery verdicts", recovery["matrix"])
 
     cluster = data.get("cluster")
     if cluster:
@@ -318,14 +302,7 @@ def render_text(
                 f"max {lag['max_ns'] / 1e3:.1f} us "
                 f"({lag['samples']} samples)"
             )
-        lines += ["", "== Cluster verdicts (site x backend) =="]
-        backends = sorted(
-            {backend for row in cluster["matrix"].values() for backend in row}
-        )
-        lines.append("  " + " " * 20 + "".join(f"{b:>20s}" for b in backends))
-        for site, row in sorted(cluster["matrix"].items()):
-            cells = "".join(f"{row.get(b, '-'):>20s}" for b in backends)
-            lines.append(f"  {site:20s}{cells}")
+        lines += _matrix_lines("Cluster verdicts", cluster["matrix"])
 
     if show_queue:
         metrics = data.get("metrics", {})

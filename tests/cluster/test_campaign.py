@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.cluster.campaign import (
-    EXPECTED,
-    SEVERITY,
-    run_cluster_campaign,
-    run_cluster_cell,
-)
+from repro.cluster.campaign import EXPECTED, SEVERITY, run_cluster_cell
 from repro.cluster.cluster import RedisCluster
 from repro.cluster.client import ClusterClient
 from repro.cluster.replication import MAX_RETRIES
+from repro.resilience.engine import main, run_campaign
 from repro.resilience.injector import arm
 from repro.resilience.plan import InjectionPlan
 
@@ -62,13 +58,14 @@ def test_cells_are_deterministic():
 
 
 def test_campaign_matrix_keeps_worst_verdict():
-    result = run_cluster_campaign(
+    result = run_campaign(
+        "cluster",
         backends=("none",),
         sites=("primary-kill",),
         schedules=2,
         seed=1,
         sets=12,
-        shards=("s0", "s1"),
+        shards=2,
     )
     assert len(result.cells) == 2
     matrix = result.matrix()
@@ -101,3 +98,24 @@ def test_repl_drop_exhausting_retry_budget_surfaces_timeout():
     injector.detach()
     # The write was never acked, so losing it is not an acked loss.
     assert client.acked == {}
+
+
+CLI_TINY = ["--scenario", "cluster", "--sets", "6", "--shards", "2",
+            "--schedules", "1"]
+
+
+def test_cli_check_passes_when_expected_verdict_earned(capsys):
+    code = main(CLI_TINY + ["--sites", "primary-kill",
+                            "--check", "primary-kill"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "primary-kill" in out and "no-acked-write-lost" in out
+
+
+def test_cli_check_fails_when_expected_verdict_not_earned(capsys):
+    code = main(CLI_TINY + ["--sites", "primary-kill",
+                            "--check", "stale-read"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ERROR: none at stale-read: verdict None" in err
+    assert "expected stale-read-window" in err

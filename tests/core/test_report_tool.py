@@ -120,3 +120,47 @@ def test_config_from_harden_flags():
 
     config = config_from_args(Args())
     assert config.hardening == {"netstack": ("asan", "cfi")}
+
+
+def test_render_text_campaign_matrices():
+    from repro.tools.report import render_text
+
+    data = {
+        "layout": "flat",
+        "workload": {"summary": "none"},
+        "crossings": [],
+        "time_by_compartment_ns": {},
+        "memory": [],
+        "resilience": {
+            "matrix": {"wild-write": {"none": "propagated",
+                                      "mpk-shared": "contained"}},
+            "containment_rate": {"mpk-shared": 1.0, "none": 0.0},
+        },
+        "recovery": {
+            "matrix": {"blk-torn-write": {"none": "recovered-state"}},
+        },
+        "cluster": {
+            "snapshot": {
+                "slots": {"s0": 32, "s1": 32},
+                "epoch": 1,
+                "shards": [],
+                "replication_lag": {"samples": 0},
+            },
+            "matrix": {"stale-read": {"mpk-shared": "stale-read-window",
+                                      "none": "not-triggered"}},
+        },
+    }
+    lines = render_text(data).splitlines()
+    for header, backends, row in (
+        ("== Containment matrix (site x backend) ==",
+         ["mpk-shared", "none"], ["wild-write", "contained", "propagated"]),
+        ("== Recovery verdicts (site x backend) ==",
+         ["none"], ["blk-torn-write", "recovered-state"]),
+        ("== Cluster verdicts (site x backend) ==",
+         ["mpk-shared", "none"],
+         ["stale-read", "stale-read-window", "not-triggered"]),
+    ):
+        at = lines.index(header)
+        assert lines[at + 1].split() == backends
+        assert lines[at + 2].split() == row
+    assert "  containment rate: mpk-shared=100%  none=0%" in lines

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.resilience import run_campaign
-from repro.resilience.campaign import default_plan, main, run_cell
+from repro.resilience import containment_rate, recovery_latencies
+from repro.resilience.campaign import default_plan, run_cell
+from repro.resilience.engine import main, run_campaign
 
 
 def test_default_plans_cover_every_site():
@@ -18,13 +19,14 @@ def test_default_plans_cover_every_site():
 def test_same_seed_same_matrix():
     def matrix():
         result = run_campaign(
+            "containment",
             backends=("none", "mpk-shared"),
             sites=("gate-crash", "wild-write"),
             schedules=2,
             seed=42,
         )
         return result.matrix(), [
-            (cell["outcome"], cell["injected"], cell["attempts"])
+            (cell["verdict"], cell["injected"], cell["attempts"])
             for cell in result.cells
         ]
 
@@ -33,6 +35,7 @@ def test_same_seed_same_matrix():
 
 def test_wild_write_contained_by_isolation_not_by_none():
     result = run_campaign(
+        "containment",
         backends=("none", "mpk-shared", "vm-rpc"),
         sites=("wild-write",),
         schedules=1,
@@ -42,12 +45,13 @@ def test_wild_write_contained_by_isolation_not_by_none():
     assert row["none"] == "propagated"
     assert row["mpk-shared"] in ("contained", "recovered")
     assert row["vm-rpc"] in ("contained", "recovered")
-    assert result.containment_rate("none") == 0.0
-    assert result.containment_rate("mpk-shared") == 1.0
+    assert containment_rate(result.cells, "none") == 0.0
+    assert containment_rate(result.cells, "mpk-shared") == 1.0
 
 
 def test_vm_transient_faults_recovered_by_retry():
     result = run_campaign(
+        "containment",
         backends=("vm-rpc", "none"),
         sites=("vm-drop",),
         schedules=1,
@@ -64,7 +68,7 @@ def test_cell_payload_is_json_ready():
 
     cell = run_cell("mpk-shared", "gate-crash", default_plan("gate-crash", 1))
     json.dumps(cell)  # must not raise
-    assert cell["outcome"] in (
+    assert cell["verdict"] in (
         "recovered", "contained", "propagated", "not-triggered"
     )
     assert cell["injected"] >= 1
@@ -73,12 +77,13 @@ def test_cell_payload_is_json_ready():
 
 def test_recovery_latency_recorded_when_retry_needed():
     result = run_campaign(
+        "containment",
         backends=("mpk-shared",),
         sites=("gate-crash",),
         schedules=1,
         seed=0,
     )
-    latencies = result.recovery_latencies("mpk-shared")
+    latencies = recovery_latencies(result.cells, "mpk-shared")
     assert latencies and all(value > 0 for value in latencies)
 
 
@@ -88,7 +93,7 @@ def test_cli_check_contained(capsys, tmp_path):
         "--backends", "mpk-shared",
         "--sites", "wild-write",
         "--schedules", "1",
-        "--check-contained", "wild-write",
+        "--check", "wild-write",
         "--json", str(out),
     ])
     assert code == 0
@@ -101,7 +106,9 @@ def test_cli_check_contained_fails_for_none_backend(capsys):
         "--backends", "none",
         "--sites", "wild-write",
         "--schedules", "1",
-        "--check-contained", "wild-write",
+        "--check", "wild-write",
     ])
     assert code == 1
-    assert "did not contain" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ERROR: none at wild-write: verdict 'propagated'" in err
+    assert "expected contained or recovered" in err

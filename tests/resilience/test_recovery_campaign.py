@@ -6,12 +6,11 @@ import pytest
 
 from repro.resilience import (
     DEFAULT_RECOVERY_SITES,
-    RecoveryCampaignResult,
     default_recovery_plan,
-    run_recovery_campaign,
     run_recovery_cell,
 )
-from repro.resilience.campaign import main
+from repro.resilience.campaign import RECOVERY
+from repro.resilience.engine import CampaignResult, main, run_campaign
 
 
 def test_default_recovery_plans_cover_every_site():
@@ -48,7 +47,8 @@ def test_recovery_works_behind_real_gates():
 
 def test_same_seed_same_recovery_matrix():
     def run():
-        result = run_recovery_campaign(
+        result = run_campaign(
+            "recovery",
             backends=("none", "mpk-shared"),
             sites=("blk-torn-write", "crash-mid-compaction"),
             schedules=2,
@@ -74,7 +74,8 @@ def test_matrix_keeps_worst_verdict():
         return {"site": "blk-torn-write", "backend": backend,
                 "verdict": verdict}
 
-    result = RecoveryCampaignResult(
+    result = CampaignResult(
+        scenario=RECOVERY,
         seed=0,
         schedules=3,
         cells=[
@@ -107,16 +108,31 @@ def test_recovery_cell_payload_is_json_ready():
 def test_cli_check_recovered(capsys, tmp_path):
     out = tmp_path / "recovery.json"
     code = main([
-        "--recovery",
+        "--scenario", "recovery",
         "--backends", "none",
         "--sites", "blk-torn-write",
         "--schedules", "1",
         "--seed", "5",
         "--sets", "12",
-        "--check-recovered", "blk-torn-write",
+        "--check", "blk-torn-write",
         "--json", str(out),
     ])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["matrix"]["blk-torn-write"]["none"] == "recovered-state"
     assert "blk-torn-write" in capsys.readouterr().out
+
+
+def test_cli_check_recovered_fails_for_site_without_verdict(capsys):
+    code = main([
+        "--scenario", "recovery",
+        "--backends", "none",
+        "--sites", "blk-torn-write",
+        "--schedules", "1",
+        "--sets", "8",
+        "--check", "crash-mid-compaction",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ERROR: none at crash-mid-compaction: verdict None" in err
+    assert "expected recovered-state or not-triggered" in err
