@@ -22,8 +22,11 @@ Three claims:
   slow runs produce bit-identical clocks, counter snapshots, and
   application numbers.
 
-Results go to ``benchmarks/BENCH_fastpath.json`` and the trajectory is
-recorded in ``benchmarks/results.json``.  Runs standalone:
+Full runs write ``benchmarks/BENCH_fastpath.json`` and record the
+trajectory in ``benchmarks/results.json``.  Smoke runs are reduced in
+size, so they never overwrite those committed full-run artifacts: they
+write ``benchmarks/smoke/BENCH_fastpath.json`` (git-ignored) unless
+``--json`` is given, and record no trajectory.  Runs standalone:
 
     PYTHONPATH=src python benchmarks/bench_fastpath.py --smoke --check
 """
@@ -55,6 +58,8 @@ from repro.machine.mpk import pkru_for_keys
 BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_fastpath.json"
 MACHINE_JSON = pathlib.Path(__file__).parent / "BENCH_machine.json"
 RESULTS_JSON = pathlib.Path(__file__).parent / "results.json"
+#: Where smoke runs write their artifacts (git-ignored).
+SMOKE_DIR = pathlib.Path(__file__).parent / "smoke"
 
 #: Required per-crossing speedup on mpk-shared at batch 1 (ISSUE 9).
 CROSSING_FLOOR = 2.0
@@ -279,11 +284,18 @@ def _e2e_once(config_factory, driver, fast: bool, smoke: bool):
     return wall, numbers, snapshot, counters, image.machine.fastpath_stats()
 
 
-def _machine_baseline() -> dict:
-    """fig3/4/5 wall clocks recorded by the simulation-core pass."""
-    if not MACHINE_JSON.exists():
+def _machine_baseline(smoke: bool) -> dict:
+    """fig3/4/5 wall clocks recorded by the simulation-core pass.
+
+    Only a baseline run in the same mode counts: smoke and full runs
+    drive different workload sizes, so their wall clocks do not compare.
+    """
+    path = SMOKE_DIR / MACHINE_JSON.name if smoke else MACHINE_JSON
+    if not path.exists():
         return {}
-    data = json.loads(MACHINE_JSON.read_text())
+    data = json.loads(path.read_text())
+    if data.get("smoke") != smoke:
+        return {}
     return {
         cell["workload"]: cell["fast_wall_s"]
         for cell in data.get("end_to_end", [])
@@ -291,7 +303,7 @@ def _machine_baseline() -> dict:
 
 
 def e2e_matrix(smoke: bool) -> list[dict]:
-    baseline = _machine_baseline()
+    baseline = _machine_baseline(smoke)
     cells = []
     for name, (config_factory, driver, gate_heavy) in E2E_WORKLOADS.items():
         fast_wall = slow_wall = None
@@ -321,8 +333,8 @@ def e2e_matrix(smoke: bool) -> list[dict]:
             "plan_hits": plan["plan_hits"],
             "plan_refreshes": plan["plan_refreshes"],
             # Wall clock the simulation-core bench recorded for the same
-            # workload (its fast path on, this PR's plans absent) — the
-            # pre-PR baseline the figures must beat on full runs.
+            # workload (its fast path on, the plans absent), or None
+            # when no baseline of the same mode exists.
             "machine_baseline_wall_s": baseline.get(name),
         })
     return cells
@@ -484,13 +496,19 @@ def main(argv=None) -> int:
         help="also verify fast-vs-slow bit-identity across all "
         "isolation profiles (mpk/ept/cheri/sh/queue)",
     )
-    parser.add_argument("--json", default=str(BENCH_JSON))
+    parser.add_argument(
+        "--json",
+        help=f"output path (default {BENCH_JSON.name}, or "
+        f"smoke/{BENCH_JSON.name} with --smoke)",
+    )
     options = parser.parse_args(argv)
     payload = run(smoke=options.smoke, check=options.check)
-    pathlib.Path(options.json).write_text(
-        json.dumps(payload, indent=2, sort_keys=True)
-    )
-    _record_trajectory(payload)
+    default = SMOKE_DIR / BENCH_JSON.name if options.smoke else BENCH_JSON
+    out = pathlib.Path(options.json or default)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    if not options.smoke:
+        _record_trajectory(payload)
     for cell in payload["per_crossing"]:
         print(
             f"crossing {cell['backend']:14s} {cell['mode']:5s} "
@@ -512,7 +530,7 @@ def main(argv=None) -> int:
             verdict["profile"] for verdict in payload["identity_checks"]
         )
         print(f"identity verified (clock, counters, app numbers): {profiles}")
-    print(f"wrote {options.json}")
+    print(f"wrote {out}")
     return 0
 
 

@@ -18,9 +18,12 @@ differs):
 simulation: for every isolation profile (mpk-shared, mpk-switched,
 vm-rpc/EPT, CHERI, SH-asan, SH-dfi) the fast and slow runs must
 produce bit-identical clocks, counter snapshots, and application
-numbers.  Results go to ``benchmarks/BENCH_machine.json`` and the
-trajectory is recorded in ``benchmarks/results.json``.  Runs
-standalone:
+numbers.  Full runs write ``benchmarks/BENCH_machine.json`` and
+record the trajectory in ``benchmarks/results.json``.  Smoke runs are
+reduced in size, so they never overwrite those committed full-run
+artifacts: they write ``benchmarks/smoke/BENCH_machine.json``
+(git-ignored) unless ``--json`` is given, and record no trajectory.
+Runs standalone:
 
     PYTHONPATH=src python benchmarks/bench_machine.py --smoke --check
 """
@@ -48,6 +51,8 @@ from repro.machine.memory import PAGE_SIZE
 
 BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_machine.json"
 RESULTS_JSON = pathlib.Path(__file__).parent / "results.json"
+#: Where smoke runs write their artifacts (git-ignored).
+SMOKE_DIR = pathlib.Path(__file__).parent / "smoke"
 
 #: Required speedup of the bulk load/store point (ISSUE 7 acceptance).
 MICRO_BULK_FLOOR = 5.0
@@ -368,13 +373,19 @@ def main(argv=None) -> int:
         help="also verify fast-vs-slow bit-identity across all "
         "isolation profiles (mpk/ept/cheri/sh)",
     )
-    parser.add_argument("--json", default=str(BENCH_JSON))
+    parser.add_argument(
+        "--json",
+        help=f"output path (default {BENCH_JSON.name}, or "
+        f"smoke/{BENCH_JSON.name} with --smoke)",
+    )
     options = parser.parse_args(argv)
     payload = run(smoke=options.smoke, check=options.check)
-    pathlib.Path(options.json).write_text(
-        json.dumps(payload, indent=2, sort_keys=True)
-    )
-    _record_trajectory(payload)
+    default = SMOKE_DIR / BENCH_JSON.name if options.smoke else BENCH_JSON
+    out = pathlib.Path(options.json or default)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    if not options.smoke:
+        _record_trajectory(payload)
     for cell in payload["microbench"]:
         print(
             f"micro {cell['size_bytes']:7d}B  "
@@ -392,7 +403,7 @@ def main(argv=None) -> int:
             verdict["profile"] for verdict in payload["identity_checks"]
         )
         print(f"identity verified (clock, counters, app numbers): {profiles}")
-    print(f"wrote {options.json}")
+    print(f"wrote {out}")
     return 0
 
 

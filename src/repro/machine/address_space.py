@@ -147,16 +147,20 @@ class AddressSpace:
         perms: Permissions = Permissions.RW,
         pkey: int = PKEY_DEFAULT,
     ) -> None:
-        """Map existing frames at ``vaddr`` (used for shared mappings)."""
+        """Map existing frames at ``vaddr`` (used for shared mappings).
+
+        All-or-nothing: if any page of the range is already mapped, the
+        ``ValueError`` names the first such page and nothing is mapped.
+        """
         if vaddr % PAGE_SIZE != 0:
             raise ValueError("mapping address must be page aligned")
         vpn = vaddr >> PAGE_SHIFT
-        for index, frame in enumerate(frames):
-            if (vpn + index) in self._pages:
-                raise ValueError(
-                    f"{self.name}: page {(vpn + index) << PAGE_SHIFT:#x} already mapped"
-                )
-            self._pages[vpn + index] = PageEntry(frame, perms, pkey)
+        pages = self._pages
+        span = range(vpn, vpn + len(frames))
+        if not pages.keys().isdisjoint(span):
+            first = next(page for page in span if page in pages)
+            raise ValueError(f"{self.name}: page {first << PAGE_SHIFT:#x} already mapped")
+        pages.update(zip(span, (PageEntry(frame, perms, pkey) for frame in frames)))
         self._invalidate()
 
     def unmap(self, vaddr: int, size: int, free_frames: bool = True) -> None:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import mmap
+
 from repro.machine.faults import OutOfMemoryError
 
 #: Page/frame size in bytes (x86-64 base pages).
 PAGE_SIZE = 4096
 #: log2(PAGE_SIZE).
 PAGE_SHIFT = 12
+
+#: One page of zeros, shared by every frame scrub.
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 def page_align_up(value: int) -> int:
@@ -25,16 +30,23 @@ class PhysicalMemory:
 
     Frames are handed out by a bump allocator with a free list so that
     unmapped regions can be recycled.  All byte content lives in one
-    ``bytearray`` indexed by physical address; :attr:`view` is a cached
+    private anonymous ``mmap`` indexed by physical address.  The host
+    kernel zero-fills each page on first touch, so construction costs
+    nothing per byte and resident memory tracks the frames actually
+    written, not ``size_bytes``.  :attr:`view` is a cached
     ``memoryview`` over it so readers can slice without the double copy
-    a ``bytes(bytearray[...])`` round-trip costs.
+    a ``bytes(data[...])`` round-trip costs.
     """
 
     def __init__(self, size_bytes: int = 64 * 1024 * 1024) -> None:
         if size_bytes <= 0 or size_bytes % PAGE_SIZE != 0:
             raise ValueError("physical memory size must be a positive page multiple")
         self.size = size_bytes
-        self.data = bytearray(size_bytes)
+        #: Byte store.  Supports the same slicing, slice assignment
+        #: and buffer protocol as a ``bytearray`` of ``size_bytes``
+        #: zeros, but compares by identity: compare contents with
+        #: ``data[:]``.
+        self.data = mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE)
         #: Zero-copy window over :attr:`data`; slicing it is free and
         #: ``bytes(view[a:b])`` copies exactly once.
         self.view = memoryview(self.data)
@@ -55,21 +67,26 @@ class PhysicalMemory:
     def alloc_frames(self, count: int) -> list[int]:
         """Allocate ``count`` frames (not necessarily contiguous).
 
-        All-or-nothing: if memory runs out partway, the frames already
-        taken are rolled back onto the free list before the
-        :class:`OutOfMemoryError` propagates, so a failed bulk request
-        never leaks frames.
+        Returns exactly the frames ``count`` :meth:`alloc_frame` calls
+        would: reused frames first, popped from the free list in LIFO
+        order, then a fresh run from the bump pointer.  All-or-nothing:
+        exhaustion is detected before anything is taken, so a failed
+        bulk request leaves the allocator untouched.
         """
         if count < 0:
             raise ValueError("frame count must be non-negative")
-        frames: list[int] = []
-        try:
-            for _ in range(count):
-                frames.append(self.alloc_frame())
-        except OutOfMemoryError:
-            while frames:
-                self._free_frames.append(frames.pop())
-            raise
+        free = self._free_frames
+        reused = min(count, len(free))
+        fresh = count - reused
+        if self._next_frame + fresh > self.num_frames:
+            raise OutOfMemoryError("physical memory exhausted")
+        split = len(free) - reused
+        frames = free[split:]
+        frames.reverse()
+        del free[split:]
+        start = self._next_frame
+        self._next_frame = start + fresh
+        frames.extend(range(start, start + fresh))
         return frames
 
     def free_frame(self, frame: int) -> None:
@@ -77,7 +94,7 @@ class PhysicalMemory:
         if not 0 <= frame < self._next_frame:
             raise ValueError(f"invalid frame {frame}")
         base = frame << PAGE_SHIFT
-        self.data[base : base + PAGE_SIZE] = bytes(PAGE_SIZE)
+        self.data[base : base + PAGE_SIZE] = _ZERO_PAGE
         self._free_frames.append(frame)
 
     def read(self, paddr: int, size: int) -> bytes:

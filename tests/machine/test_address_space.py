@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.machine import Machine
 from repro.machine.address_space import AddressSpace, Permissions
 from repro.machine.faults import OutOfMemoryError, PageFault
 from repro.machine.memory import PAGE_SIZE, PhysicalMemory
@@ -110,3 +111,36 @@ def test_va_exhaustion():
     space.map_new(2 * PAGE_SIZE)
     with pytest.raises(OutOfMemoryError):
         space.reserve(PAGE_SIZE)
+
+
+def test_overlapping_map_frames_maps_nothing():
+    # Regression: map_frames used to insert the pages in front of a
+    # conflict before raising, leaving a half-mapped range and a stale
+    # software TLB.  An overlap must now raise before any insertion.
+    machine = Machine(phys_bytes=64 * PAGE_SIZE)
+    space = machine.new_address_space("main")
+    machine.boot_context(space)
+    taken = space.map_new(PAGE_SIZE, vaddr=0x4000_2000)
+    machine.store(taken, b"warm")  # fills the software TLB
+    pages = dict(space._pages)
+    caches = (
+        dict(space._access_cache),
+        dict(space._range_cache),
+        dict(space._frame_cache),
+    )
+    assert caches[0]
+    tlb_state = (space.epoch, space.tlb_invalidations)
+
+    frames = machine.phys.alloc_frames(4)
+    with pytest.raises(ValueError, match="page 0x40002000 already mapped"):
+        space.map_frames(0x4000_0000, frames)  # pages 0-1 free, page 2 taken
+
+    assert space._pages == pages
+    assert not space.is_mapped(0x4000_0000)
+    assert (
+        space._access_cache,
+        space._range_cache,
+        space._frame_cache,
+    ) == caches
+    assert (space.epoch, space.tlb_invalidations) == tlb_state
+    assert machine.load(taken, 4) == b"warm"

@@ -178,7 +178,7 @@ def _run_differential(seed: int, ops: int = 400, profile_factory=None,
     # Every simulated observable is bit-identical.
     assert fast.cpu.clock_ns == slow.cpu.clock_ns
     assert fast.cpu.snapshot() == slow.cpu.snapshot()
-    assert fast.phys.data == slow.phys.data
+    assert fast.phys.data[:] == slow.phys.data[:]
     assert fast.phys.frames_allocated == slow.phys.frames_allocated
     return fast, slow
 
@@ -373,7 +373,7 @@ def test_dma_differential():
     for machine, space in ((fast, fast_space), (slow, slow_space)):
         vaddr = space.map_new(3 * PAGE_SIZE, Permissions.RW)
         machine.dma_write(space, vaddr + 100, b"dma" * 2000)
-    assert fast.phys.data == slow.phys.data
+    assert fast.phys.data[:] == slow.phys.data[:]
     got_fast = fast.dma_read(fast_space, fast_space._next_va - 3 * PAGE_SIZE + 100, 6000)
     got_slow = slow.dma_read(slow_space, slow_space._next_va - 3 * PAGE_SIZE + 100, 6000)
     assert got_fast == got_slow == b"dma" * 2000

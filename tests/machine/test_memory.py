@@ -1,5 +1,7 @@
 """Unit tests for physical memory and frame allocation."""
 
+import random
+
 import pytest
 
 from repro.machine.faults import OutOfMemoryError
@@ -47,7 +49,7 @@ def test_frame_exhaustion():
 
 
 def test_freed_frames_are_recycled_and_scrubbed():
-    mem = PhysicalMemory(2 * PAGE_SIZE)
+    mem = PhysicalMemory(4 * PAGE_SIZE)
     frame = mem.alloc_frame()
     mem.write(frame * PAGE_SIZE, b"secret")
     mem.free_frame(frame)
@@ -55,6 +57,16 @@ def test_freed_frames_are_recycled_and_scrubbed():
     # The recycled frame must come back and must not leak old bytes.
     assert again == frame
     assert mem.read(frame * PAGE_SIZE, 6) == bytes(6)
+    # The same through a bulk reuse, over whole pages: the scrub clears
+    # the freed frame and only it.
+    frames = [again, *mem.alloc_frames(2)]
+    for frame in frames:
+        mem.write(frame * PAGE_SIZE, b"\xa5" * PAGE_SIZE)
+    mem.free_frame(frames[1])
+    assert mem.alloc_frames(1) == [frames[1]]
+    assert mem.read(frames[1] * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+    for frame in (frames[0], frames[2]):
+        assert mem.read(frame * PAGE_SIZE, PAGE_SIZE) == b"\xa5" * PAGE_SIZE
 
 
 def test_free_invalid_frame():
@@ -98,9 +110,72 @@ def test_alloc_frames_rolls_back_on_exhaustion():
     with pytest.raises(OutOfMemoryError):
         mem.alloc_frames(3)  # only 2 frames left
     assert mem.frames_allocated == 2
+    assert mem._next_frame == 2
+    assert mem._free_frames == []
     # The rolled-back frames are immediately reusable.
-    assert len(mem.alloc_frames(2)) == 2
+    assert mem.alloc_frames(2) == [2, 3]
     assert mem.frames_allocated == 4
+    # A request the free list covers only in part fails before it pops
+    # anything: the free list keeps its frames and their order.
+    mem.free_frame(1)
+    mem.free_frame(3)
+    with pytest.raises(OutOfMemoryError):
+        mem.alloc_frames(3)
+    assert mem._next_frame == 4
+    assert mem._free_frames == [1, 3]
+    assert mem.alloc_frames(2) == [3, 1]
+
+
+def test_large_memory_is_lazily_zeroed():
+    # 1 GiB would cost a second of zero-filling and 1 GiB of RSS with an
+    # eager backing; lazily zeroed, only the touched pages cost anything.
+    size = 1 << 30
+    mem = PhysicalMemory(size)
+    assert mem.num_frames == size // PAGE_SIZE
+    assert mem.read(0, PAGE_SIZE) == bytes(PAGE_SIZE)
+    assert mem.read(size - PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+    mem.write(size - 4, b"last")
+    assert mem.read(size - 4, 4) == b"last"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_alloc_frames_matches_repeated_alloc_frame(seed):
+    # Property: alloc_frames(n) returns exactly the frames n single
+    # alloc_frame() calls return on an identical twin, across random
+    # mixes of single allocations, bulk allocations and frees, up to
+    # and including exhaustion.
+    rng = random.Random(seed)
+    bulk = PhysicalMemory(64 * PAGE_SIZE)
+    single = PhysicalMemory(64 * PAGE_SIZE)
+    held: list[int] = []
+    for _ in range(300):
+        choice = rng.random()
+        if choice < 0.35 and held:
+            frame = held.pop(rng.randrange(len(held)))
+            bulk.free_frame(frame)
+            single.free_frame(frame)
+        elif choice < 0.5:
+            try:
+                frame = bulk.alloc_frame()
+            except OutOfMemoryError:
+                with pytest.raises(OutOfMemoryError):
+                    single.alloc_frame()
+                continue
+            assert single.alloc_frame() == frame
+            held.append(frame)
+        else:
+            count = rng.randrange(0, 12)
+            state = (bulk._next_frame, list(bulk._free_frames))
+            try:
+                frames = bulk.alloc_frames(count)
+            except OutOfMemoryError:
+                assert count > single.num_frames - single.frames_allocated
+                assert (bulk._next_frame, bulk._free_frames) == state
+                continue
+            assert frames == [single.alloc_frame() for _ in range(count)]
+            held.extend(frames)
+        assert bulk._next_frame == single._next_frame
+        assert bulk._free_frames == single._free_frames
 
 
 def test_read_returns_immutable_snapshot():
