@@ -16,7 +16,10 @@ Three phases over the sharded redis cluster
   reported: slots moved, keys/bytes migrated over the wire, and the
   migration's simulated duration.
 
-Results go to ``benchmarks/BENCH_cluster.json``.  Runs standalone:
+Full runs write ``benchmarks/BENCH_cluster.json``.  Smoke runs use
+reduced sizes with the same checks and do not touch the committed
+artifact: they write ``benchmarks/smoke/BENCH_cluster.json``
+(git-ignored) unless ``--json`` names another path.  Runs standalone:
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --smoke
 """
@@ -31,6 +34,8 @@ from repro.cluster.client import ClusterClient, verify_acked
 from repro.cluster.cluster import RedisCluster
 
 BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_cluster.json"
+#: Where smoke runs write their artifact (git-ignored).
+SMOKE_DIR = pathlib.Path(__file__).parent / "smoke"
 
 SHARD_COUNTS = (1, 2, 3)
 #: Acceptance floor for aggregate throughput scaling 1 -> 3 shards.
@@ -121,13 +126,14 @@ def rebalance_cell(sets: int, backend: str) -> dict:
     }
 
 
-def run(sets: int, gets: int, backend: str) -> dict:
+def run(sets: int, gets: int, backend: str, smoke: bool = False) -> dict:
     scaling = [
         scaling_cell(count, sets, gets, backend) for count in SHARD_COUNTS
     ]
     single = scaling[0]["throughput_ops_per_ms"]
     tripled = scaling[-1]["throughput_ops_per_ms"]
     payload = {
+        "smoke": smoke,
         "backend": backend,
         "sets": sets,
         "gets": gets,
@@ -162,15 +168,20 @@ def main(argv=None) -> int:
         help="reduced sizes for CI (same phases, same checks)",
     )
     parser.add_argument("--backend", default="none")
-    parser.add_argument("--json", default=str(BENCH_JSON))
-    options = parser.parse_args(argv)
-    if options.smoke:
-        payload = run(sets=48, gets=48, backend=options.backend)
-    else:
-        payload = run(sets=240, gets=240, backend=options.backend)
-    pathlib.Path(options.json).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    parser.add_argument(
+        "--json",
+        help=f"output path (default {BENCH_JSON.name}, or "
+        f"smoke/{BENCH_JSON.name} with --smoke)",
     )
+    options = parser.parse_args(argv)
+    size = 48 if options.smoke else 240
+    payload = run(
+        sets=size, gets=size, backend=options.backend, smoke=options.smoke
+    )
+    default = SMOKE_DIR / BENCH_JSON.name if options.smoke else BENCH_JSON
+    out = pathlib.Path(options.json or default)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for cell in payload["scaling"]:
         print(
             f"shards={cell['shards']}  "

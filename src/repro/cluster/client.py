@@ -14,6 +14,15 @@ and counts the redirect.  Failover handling mirrors an at-least-once
 retry policy: when a node dies, its outstanding requests are aborted
 back onto the pending queue (``SET`` is idempotent per key, so replays
 are safe; an acked value is never rolled back).
+
+Dispatch is event-driven.  After a scan every pending request is
+blocked (its shard has no live serving node, or that node's window is
+full), and only an enqueue, a reply, an aborted node, a re-attached
+sink or a topology change (cluster or map epoch) can unblock one.
+:meth:`ClusterClient.pump` therefore rescans only after one of those;
+on every other scheduler step it returns at once.  A request is still
+sent at the first pump after it became dispatchable, so every send
+happens at the same node clock as with a rescan on every step.
 """
 
 from __future__ import annotations
@@ -65,27 +74,33 @@ class ClusterClient:
         self.stale_reads = 0
         #: Stale replies by key (campaign reporting).
         self.stale_keys: list[bytes] = []
+        #: Set by every event that may unblock a pending request.
+        self._dirty = True
+        #: ``(cluster.epoch, map.epoch)`` at the last scan.
+        self._stamp: tuple[int, int] | None = None
         cluster.attach_client(self)
 
     # --- enqueue ----------------------------------------------------------
 
     def set(self, key: bytes, value: bytes) -> None:
-        self.issued += 1
-        self.pending.append(
+        self._enqueue(
             Request("set", key, value, resp.encode_command(b"SET", key, value))
         )
 
     def get(self, key: bytes) -> None:
-        self.issued += 1
-        self.pending.append(
+        self._enqueue(
             Request("get", key, None, resp.encode_command(b"GET", key))
         )
 
     def delete(self, key: bytes) -> None:
-        self.issued += 1
-        self.pending.append(
+        self._enqueue(
             Request("del", key, None, resp.encode_command(b"DEL", key))
         )
+
+    def _enqueue(self, request: Request) -> None:
+        self.issued += 1
+        self._dirty = True
+        self.pending.append(request)
 
     # --- pumping ----------------------------------------------------------
 
@@ -100,12 +115,34 @@ class ClusterClient:
         node = self.cluster.serving_node(shard)
         return node if node.alive else None
 
+    def wake(self) -> None:
+        """Make the next :meth:`pump` rescan the pending requests."""
+        self._dirty = True
+
     def pump(self) -> int:
-        """Dispatch pending requests into open windows; returns count."""
+        """Dispatch pending requests into open windows; returns count.
+
+        Returns 0 without looking at :attr:`pending` unless an event
+        since the last scan may have unblocked a request.
+        """
+        stamp = (self.cluster.epoch, self.cluster.map.epoch)
+        if not self._dirty and stamp == self._stamp:
+            return 0
+        self._dirty = False
+        self._stamp = stamp
+        open_nodes = sum(
+            1
+            for shard in self.cluster.shards.values()
+            if shard.serving.alive
+            and len(self.outstanding.get(shard.serving.name, ())) < self.window
+        )
         dispatched = 0
         blocked: list[Request] = []
-        while self.pending:
-            request = self.pending.popleft()
+        pending = self.pending
+        # Once every live serving node's window is full, the rest of
+        # the queue is blocked too: stop scanning.
+        while open_nodes and pending:
+            request = pending.popleft()
             node = self._node_for(request)
             if node is None:
                 # Owner dead or missing (mid-failover): park it.
@@ -119,7 +156,9 @@ class ClusterClient:
             queue.append(request)
             node.deliver(request.payload)
             dispatched += 1
-        self.pending.extend(blocked)
+            if len(queue) >= self.window:
+                open_nodes -= 1
+        pending.extendleft(reversed(blocked))
         return dispatched
 
     def drive(self, max_rounds: int = 200_000) -> None:
@@ -133,6 +172,7 @@ class ClusterClient:
 
     def rebind(self) -> None:
         """Topology changed (failover/rebalance): re-register sinks."""
+        self._dirty = True
         for shard in self.cluster.shards.values():
             if shard.serving.alive:
                 shard.serving.client_sink = self.on_reply
@@ -140,6 +180,8 @@ class ClusterClient:
     # --- reply path -------------------------------------------------------
 
     def on_reply(self, node_name: str, payload: bytes) -> None:
+        # A reply frees a window slot or re-enqueues a MOVED request.
+        self._dirty = True
         parser = self._parsers.setdefault(node_name, resp.ReplyParser())
         for reply in parser.feed(payload):
             queue = self.outstanding.get(node_name)
@@ -189,6 +231,7 @@ class ClusterClient:
         ``DEL`` are idempotent per key so replays converge; an already
         recorded ack is never rolled back.
         """
+        self._dirty = True
         queue = self.outstanding.pop(node_name, None)
         self._parsers.pop(node_name, None)
         if not queue:
@@ -226,7 +269,11 @@ def verify_acked(cluster, client: ClusterClient) -> dict:
     wrong: list[str] = []
     for key in sorted(client.acked):
         probe.get(key)
-    probe.drive()
+    try:
+        probe.drive()
+    finally:
+        # The probe took over every reply sink: hand them back.
+        cluster.attach_client(client)
     # probe.stale_reads counts mismatches; distinguish miss vs corrupt
     # by re-reading values host-side from the owning shard.
     for key in sorted(client.acked):

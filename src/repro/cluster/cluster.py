@@ -224,6 +224,7 @@ class RedisCluster:
         self._client = client
         for shard in self.shards.values():
             shard.serving.client_sink = client.on_reply
+        client.wake()
 
     # --- failover ---------------------------------------------------------
 

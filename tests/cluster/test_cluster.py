@@ -191,3 +191,111 @@ def test_cluster_with_explored_profile_serves_traffic():
 def test_replication_requires_durability():
     with pytest.raises(ValueError):
         RedisCluster(shards=("s0",), durable=False, replicate=True)
+
+
+def test_client_still_works_after_verify_acked():
+    cluster = RedisCluster(shards=("s0", "s1", "s2"), replicate=False)
+    client = ClusterClient(cluster)
+    _load(client, 8)
+    assert verify_acked(cluster, client)["ok"]
+    client.set(b"after-audit", b"still-routed")
+    client.drive(max_rounds=2000)
+    assert client.completed == client.issued == 9
+    assert client.acked[b"after-audit"] == b"still-routed"
+
+
+# --- event-driven pump: when the client rescans ---------------------------
+
+
+def _count_owner_calls(monkeypatch) -> list:
+    from repro.cluster.shardmap import ShardMap
+
+    calls = []
+    owner = ShardMap.owner
+
+    def counting(self, key):
+        calls.append(key)
+        return owner(self, key)
+
+    monkeypatch.setattr(ShardMap, "owner", counting)
+    return calls
+
+
+def _saturated_client():
+    """s0's window full with s0 requests left over; s1's window open.
+
+    Every pending request is blocked, yet a scan must route each one
+    (s1 is still open, so the scan cannot stop early).
+    """
+    cluster = RedisCluster(shards=("s0", "s1"), replicate=False)
+    client = ClusterClient(cluster)
+    keys = [b"key:%03d" % index for index in range(200)]
+    for key in [key for key in keys if cluster.map.owner(key) == "s0"][:12]:
+        client.set(key, b"v")
+    assert client.pump() == client.window
+    return cluster, client
+
+
+def test_pump_without_an_event_skips_routing(monkeypatch):
+    _, client = _saturated_client()
+    calls = _count_owner_calls(monkeypatch)
+    assert client.pump() == 0
+    assert calls == []
+    assert len(client.pending) == 12 - client.window
+
+
+@pytest.mark.parametrize("event", ["attach", "abort", "rebind"])
+def test_wake_events_make_pump_rescan(monkeypatch, event):
+    cluster, client = _saturated_client()
+    calls = _count_owner_calls(monkeypatch)
+    if event == "attach":
+        cluster.attach_client(client)
+    elif event == "abort":
+        client.abort_node("s0-a")  # its window's requests are retried
+    else:
+        client.rebind()
+    dispatched = client.pump()
+    assert calls  # the queue was routed again
+    assert dispatched == (client.window if event == "abort" else 0)
+
+
+def test_parked_requests_dispatch_after_promote_alone(monkeypatch):
+    cluster = RedisCluster(shards=("s0", "s1"), replicate=True)
+    client = ClusterClient(cluster)
+    _load(client, 6)
+    victim = "s1"
+    cluster.kill_primary(victim)
+    key = next(
+        b"parked:%03d" % index
+        for index in range(1000)
+        if cluster.map.owner(b"parked:%03d" % index) == victim
+    )
+    client.set(key, b"after-failover")
+    assert client.pump() == 0  # no live serving node: parked
+    assert client.pump() == 0
+    # Leave the topology stamp as the only wake: no sink rebinding.
+    monkeypatch.setattr(client, "rebind", lambda: None)
+    cluster.promote(victim, recover=True)
+    assert client.pump() == 1
+    assert list(client.outstanding["s1-b"])[0].key == key
+    client.drive()
+    assert client.acked[key] == b"after-failover"
+
+
+def test_request_enqueued_after_add_shard_goes_to_new_owner():
+    cluster = RedisCluster(shards=("s0", "s1"), replicate=False)
+    client = ClusterClient(cluster)
+    _load(client, 6)
+    client.pump()
+    keys = [b"join:%03d" % index for index in range(200)]
+    old_owner = {key: cluster.map.owner(key) for key in keys}
+    cluster.add_shard("s2")
+    key = next(key for key in keys if cluster.map.owner(key) == "s2")
+    assert old_owner[key] != "s2"
+    client.set(key, b"on-the-new-shard")
+    assert client.pump() == 1
+    assert list(client.outstanding["s2-a"])[0].key == key
+    client.drive()
+    assert client.moved == 0
+    node = cluster.serving_node("s2")
+    assert node.image.lib("redis").value_of(key) == b"on-the-new-shard"
