@@ -106,13 +106,14 @@ class _PlanEntry:
     class dict per call.
     """
 
-    __slots__ = ("fn", "handler", "blocking", "ctx_label", "extra")
+    __slots__ = ("fn", "handler", "blocking", "ctx_label", "span", "extra")
 
-    def __init__(self, fn, handler, blocking, ctx_label):
+    def __init__(self, fn, handler, blocking, ctx_label, span):
         self.fn = fn
         self.handler = handler
         self.blocking = blocking
         self.ctx_label = ctx_label
+        self.span = span
         self.extra = None
 
 
@@ -120,39 +121,54 @@ class CrossingPlan:
     """Per-edge precompiled crossing state, built once per channel.
 
     Compiled at channel construction: one :class:`_PlanEntry` per
-    export (resolved handler, blocking flag, the context label the slow
-    path would build with an f-string per call).  ``observing`` caches
-    whether any observer — the tracer or per-edge latency recording —
-    is live; it is re-resolved only when the machine's observability
-    epoch moves (one int compare per invoke), and while an observer is
-    live every crossing takes the original slow path, which is
-    trivially bit-identical.  ``hits``/``refreshes`` are host-side
-    telemetry (never in the metrics registry, so snapshots stay
-    identical across the ``REPRO_GATEPLAN`` toggle).
+    export (resolved handler, blocking flag, and the context label and
+    span name the slow path would build with an f-string per call).
+
+    Observers are hooks the plan calls, never a different code path.
+    Each is one attribute, ``None`` while its observer is off:
+
+    - ``tracer`` — the machine's tracer while it records (boundary
+      channels only): the gate's ``B``/``E`` span and the MPK gates'
+      two ``wrpkru`` instants;
+    - ``latency`` — the edge-latency histogram name while
+      ``record_edge_latency`` is on (boundary channels only).
+
+    :class:`~repro.obs.Observability` calls :meth:`refresh` on every
+    plan whenever an observer toggles, so the hooks are always current
+    and a crossing checks no observer state of its own.  ``hits`` and
+    ``refreshes`` are host-side telemetry (never in the metrics
+    registry, so snapshots stay identical across the ``REPRO_GATEPLAN``
+    toggle).
     """
 
-    __slots__ = ("entries", "epoch", "observing", "hits", "refreshes", "_gate")
+    __slots__ = ("entries", "tracer", "latency", "hits", "refreshes", "_gate")
 
     def __init__(self, gate: "Gate") -> None:
         self._gate = gate
         callee = gate.callee_lib
         blocking = callee.blocking_exports
+        prefix = gate._span_prefix
         self.entries = {
-            fn: _PlanEntry(fn, handler, fn in blocking, gate._plan_ctx_label(fn))
+            fn: _PlanEntry(
+                fn, handler, fn in blocking, gate._plan_ctx_label(fn), prefix + fn
+            )
             for fn, handler in callee.exports.items()
         }
-        self.epoch = -1
-        self.observing = True
         self.hits = 0
         self.refreshes = 0
+        self.refresh()
 
-    def refresh(self, epoch: int) -> None:
-        """Re-resolve observer enablement after an obs-epoch bump."""
+    def refresh(self) -> None:
+        """Re-resolve the observer hooks (called on every observer toggle)."""
         gate = self._gate
-        self.observing = gate.IS_BOUNDARY and (
-            gate._tracer._enabled or gate._metrics._record_edge_latency
+        boundary = gate.IS_BOUNDARY
+        tracer = gate._tracer
+        self.tracer = tracer if boundary and tracer.recording else None
+        self.latency = (
+            gate._latency_name
+            if boundary and gate._metrics.record_edge_latency
+            else None
         )
-        self.epoch = epoch
         self.refreshes += 1
 
 
@@ -369,7 +385,6 @@ class Gate(Channel):
         # All precomputed values feed the *same* charge/bump sequence
         # the slow path issues, so the REPRO_GATEPLAN toggle cannot
         # change any simulated observable.
-        self._obs = machine.obs
         self._caller_name = caller_lib.NAME
         self._callee_name = callee_lib.NAME
         self._counters = self._metrics.counters
@@ -382,6 +397,13 @@ class Gate(Channel):
         if self.EXTRA_COUNTER:
             bumps.append(self.EXTRA_COUNTER)
         self._bump_names = tuple(bumps)
+        # Observer-hook constants: span names are this prefix plus the
+        # export (or ``batch[n]``); every span carries the same args.
+        self._span_prefix = f"{caller_lib.NAME}->{callee_lib.NAME}."
+        self._span_args = {"kind": self.KIND}
+        self._latency_name = self._metrics.edge_latency_name(
+            caller_lib.NAME, callee_lib.NAME
+        )
         #: Pooled callee Context reused by non-nested fast invokes (a
         #: plain invoke cannot suspend, so the context is dead again by
         #: the time the call returns).
@@ -389,7 +411,7 @@ class Gate(Channel):
         self._plan: CrossingPlan | None = None
         if machine.gateplan_enabled:
             self._plan = CrossingPlan(self)
-            machine.gate_plans.append(self._plan)
+            machine.obs.plans.append(self._plan)
 
     # --- shared plumbing ----------------------------------------------------
 
@@ -567,12 +589,12 @@ class Gate(Channel):
     def _invoke_fast(self, entry: _PlanEntry, args: tuple) -> Any:
         """Hot invoke: identical charge/bump sequence, zero derivation.
 
-        Mirrors ``_invoke_slow`` line for line — every ``charge`` has
-        the same value (precomputed from the same constants with the
-        same associativity) and every counter write the same order.
-        The only skipped work is host-side: lookups, f-strings, and
-        observer probes the plan already resolved (``observing`` False
-        guarantees the tracer and latency recorder are off).
+        Mirrors the slow path of :meth:`invoke` line for line — every
+        ``charge`` has the same value (precomputed from the same
+        constants with the same associativity), every counter write and
+        every observer event the same order.  The only skipped work is
+        host-side: lookups, f-strings, and observer probes the plan
+        already resolved into its ``latency``/``tracer`` hooks.
         """
         plan = self._plan
         plan.hits += 1
@@ -597,6 +619,12 @@ class Gate(Channel):
         counters = self._counters
         for name in self._bump_names:
             counters[name] = counters.get(name, 0.0) + 1.0
+        latency = plan.latency
+        if latency is not None:
+            started = cpu.clock_ns
+        tracer = plan.tracer
+        if tracer is not None:
+            tracer.span_begin(entry.span, "gate", self._span_args)
         self._enter_fast(entry, args, cpu)
         try:
             if machine.injector is not None:
@@ -609,6 +637,10 @@ class Gate(Channel):
             raise failure from exc
         finally:
             self._exit_fast(entry, cpu)
+            if latency is not None:
+                self._metrics.histogram(latency).observe(cpu.clock_ns - started)
+            if tracer is not None:
+                tracer.end()
 
     def _invoke_batch_fast(
         self, entries: list, ops: list[tuple[int, str, tuple]]
@@ -634,6 +666,14 @@ class Gate(Channel):
         counters = self._counters
         for name in self._bump_names:
             counters[name] = counters.get(name, 0.0) + 1.0
+        latency = plan.latency
+        if latency is not None:
+            started = cpu.clock_ns
+        tracer = plan.tracer
+        if tracer is not None:
+            tracer.span_begin(
+                f"{self._span_prefix}batch[{len(ops)}]", "gate", self._span_args
+            )
         completions: list[Completion] = []
         self._enter_fast(entries[0], (len(ops),), cpu)
         try:
@@ -658,6 +698,10 @@ class Gate(Channel):
                     completions.append(Completion(ticket, fn, error=exc))
         finally:
             self._exit_fast(entries[0], cpu)
+            if latency is not None:
+                self._metrics.histogram(latency).observe(cpu.clock_ns - started)
+            if tracer is not None:
+                tracer.end()
         return completions
 
     # --- channel interface ---------------------------------------------------------
@@ -685,20 +729,16 @@ class Gate(Channel):
             return []
         plan = self._plan
         if plan is not None:
-            epoch = self._obs.epoch
-            if plan.epoch != epoch:
-                plan.refresh(epoch)
-            if not plan.observing:
-                get = plan.entries.get
-                entries = []
-                for _, fn, _ in ops:
-                    entry = get(fn)
-                    if entry is None or entry.blocking:
-                        entries = None
-                        break
-                    entries.append(entry)
-                if entries is not None:
-                    return self._invoke_batch_fast(entries, ops)
+            get = plan.entries.get
+            entries = []
+            for _, fn, _ in ops:
+                entry = get(fn)
+                if entry is None or entry.blocking:
+                    entries = None
+                    break
+                entries.append(entry)
+            if entries is not None:
+                return self._invoke_batch_fast(entries, ops)
         handlers = [self._lookup(fn, blocking=False) for _, fn, _ in ops]
         self._caller_side(ops[0][1])
         self._check_available()
@@ -737,13 +777,9 @@ class Gate(Channel):
     def invoke(self, fn: str, args: tuple) -> Any:
         plan = self._plan
         if plan is not None:
-            epoch = self._obs.epoch
-            if plan.epoch != epoch:
-                plan.refresh(epoch)
-            if not plan.observing:
-                entry = plan.entries.get(fn)
-                if entry is not None and not entry.blocking:
-                    return self._invoke_fast(entry, args)
+            entry = plan.entries.get(fn)
+            if entry is not None and not entry.blocking:
+                return self._invoke_fast(entry, args)
         handler = self._lookup(fn, blocking=False)
         self._caller_side(fn)
         self._check_available()

@@ -78,11 +78,11 @@ class MPKSharedStackGate(Gate):
         cpu.charge(ns)
 
     # --- crossing-plan fast path --------------------------------------------
-    # Same charge/bump sequence as _enter/_exit with the WRPKRU inlined:
-    # the plan only runs while the tracer is off (observing → slow path)
-    # and the gate holds the token by construction, so the tracer probe
-    # and token identity check are the only elided steps — neither
-    # touches simulated state.
+    # Same charge/bump sequence as _enter/_exit with the WRPKRU inlined.
+    # Its trace instant is the plan's ``tracer`` hook (recorded at the
+    # same point as cpu.wrpkru records it, with the same value), and
+    # the gate holds the token by construction, so the token identity
+    # check is the only elided step — it touches no simulated state.
 
     def _enter_fast(self, entry, args, cpu) -> None:
         cpu.charge(self._switch_ns)
@@ -104,6 +104,9 @@ class MPKSharedStackGate(Gate):
         cpu.charge(self._wrpkru_ns)
         counters = self._counters
         counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
+        tracer = self._plan.tracer
+        if tracer is not None:
+            tracer.wrpkru(comp.pkru_value)
         ctx.pkru = comp.pkru_value
 
     def _exit_fast(self, entry, cpu) -> None:
@@ -113,6 +116,9 @@ class MPKSharedStackGate(Gate):
         cpu.charge(self._wrpkru_ns)
         counters = self._counters
         counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
+        tracer = self._plan.tracer
+        if tracer is not None:
+            tracer.wrpkru(cpu._contexts[-1].pkru)
         # The slow path re-writes the caller context's own PKRU value —
         # a semantic no-op, so nothing to assign here.
         cpu.charge(self._mpk_exit_ns)

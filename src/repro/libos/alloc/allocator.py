@@ -89,7 +89,7 @@ class HeapAllocator:
             self._live[start] = need
             self.total_allocs += 1
             tracer = self.machine.obs.tracer
-            if tracer.enabled:
+            if tracer.recording:
                 tracer.complete(
                     "malloc", "alloc", start_ns, heap=self.name, bytes=need
                 )
@@ -107,7 +107,7 @@ class HeapAllocator:
         self.total_frees += 1
         self._insert_free(addr, size)
         tracer = self.machine.obs.tracer
-        if tracer.enabled:
+        if tracer.recording:
             tracer.complete("free", "alloc", start_ns, heap=self.name, bytes=size)
 
     def _insert_free(self, addr: int, size: int) -> None:

@@ -347,7 +347,7 @@ send(fd, buf, size); close(fd); rx_process(budget); stop(); net_stats()
                 conn.seq_out += chunk
                 offset += chunk
         tracer = self.machine.obs.tracer
-        if tracer.enabled:
+        if tracer.recording:
             tracer.complete(
                 "netstack.send", "net", start_ns, bytes=size, port=conn.port
             )
@@ -400,7 +400,7 @@ send(fd, buf, size); close(fd); rx_process(budget); stop(); net_stats()
         if processed:
             self._rx_batch_hist.observe(processed)
             tracer = self.machine.obs.tracer
-            if tracer.enabled:
+            if tracer.recording:
                 tracer.complete(
                     "netstack.rx_process", "net", start_ns, packets=processed
                 )

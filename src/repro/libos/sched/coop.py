@@ -291,7 +291,8 @@ thread_join(tid)
             quantum_start = cpu.clock_ns
             # Route trace events to the running thread's own track so
             # spans it leaves open across a suspension nest correctly.
-            tracer.set_track(thread.tid, thread.name)
+            if tracer.recording:
+                tracer.set_track(thread.tid, thread.name)
             saved = cpu.swap_context_stack(thread.ctx_stack)
             try:
                 directive = next(thread.body)
@@ -320,9 +321,10 @@ thread_join(tid)
                 self._reap_failed(thread, failure)
             finally:
                 thread.ctx_stack = cpu.swap_context_stack(saved)
-                tracer.set_track(HOST_TRACK)
+                if tracer.recording:
+                    tracer.set_track(HOST_TRACK)
             quantum_hist.observe(cpu.clock_ns - quantum_start)
-            if tracer.enabled:
+            if tracer.recording:
                 tracer.complete(
                     thread.name,
                     "sched",
@@ -409,7 +411,7 @@ thread_join(tid)
         self.thread_failures.append((thread.name, failure))
         self.machine.cpu.bump("resilience.thread_failures")
         tracer = self.machine.obs.tracer
-        if tracer.enabled:
+        if tracer.recording:
             tracer.instant(
                 f"thread-failed:{thread.name}",
                 "resilience",

@@ -245,8 +245,9 @@ class CPU:
 
         self.charge(self.cost.wrpkru_ns)
         self.bump("wrpkru")
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant("wrpkru", "mpk", value=value)
+        tracer = self.tracer
+        if tracer is not None and tracer.recording:
+            tracer.wrpkru(value)
         if token is not self._gate_token:
             raise ProtectionFault(
                 0,

@@ -68,8 +68,8 @@ class Machine:
         #: Crossing-plan fast path for gate invokes.  Channels compile a
         #: per-edge :class:`~repro.gates.base.CrossingPlan` at
         #: construction (handlers, precomputed charge sums, context
-        #: labels) and take a specialized invoke path when no observer
-        #: (tracer / edge-latency recording) is live.  ``gateplan=False``
+        #: labels, span names) and take its specialized invoke path,
+        #: observed or not (observers are plan hooks).  ``gateplan=False
         #: (or env ``REPRO_GATEPLAN=0``) forces the original per-call
         #: derivation — the reference ``bench_fastpath.py --check``
         #: compares against.  Both paths issue the identical charge and
@@ -77,12 +77,11 @@ class Machine:
         if gateplan is None:
             gateplan = os.environ.get("REPRO_GATEPLAN", "1") != "0"
         self.gateplan_enabled = bool(gateplan)
-        #: Crossing plans compiled by this machine's channels (host-side
-        #: telemetry only — same bit-identity rationale as the TLB
-        #: counters above).
-        self.gate_plans: list = []
         #: Observability: span tracer (disabled by default) + metrics
         #: registry (shared with the CPU).  See :mod:`repro.obs`.
+        #: Crossing plans register in ``obs.plans``; their ``hits`` and
+        #: ``refreshes`` are host-side telemetry only (same bit-identity
+        #: rationale as the TLB counters above).
         self.obs = Observability(self.cpu)
         self.spaces: dict[str, AddressSpace] = {}
         self.vm_domains: dict[str, VMDomain] = {}
@@ -412,10 +411,10 @@ class Machine:
             ),
             "gateplan": {
                 "enabled": self.gateplan_enabled,
-                "plans": len(self.gate_plans),
-                "plan_hits": sum(plan.hits for plan in self.gate_plans),
+                "plans": len(self.obs.plans),
+                "plan_hits": sum(plan.hits for plan in self.obs.plans),
                 "plan_refreshes": sum(
-                    plan.refreshes for plan in self.gate_plans
+                    plan.refreshes for plan in self.obs.plans
                 ),
             },
         }

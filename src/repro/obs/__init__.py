@@ -12,6 +12,15 @@ Every :class:`~repro.machine.machine.Machine` owns an
 disabled; recording never charges the simulated clock, so enabling it
 changes no measured timing and disabling it is a pure no-op.
 
+Observing never changes the code path.  Gate crossings always take
+their compiled crossing plan; the gate span, the MPK ``wrpkru``
+instants and the per-edge latency sample are hooks the plan resolves
+on every observability toggle (see :class:`Observability`).  The
+tracer is a bounded flight recorder: compact tuple records in a ring
+of ``capacity`` events (default ``1 << 17``), with ``dropped`` counting
+what fell off; ``tracer.events`` builds Chrome-shaped dicts only when
+iterated.
+
 Quick start::
 
     image = build_image(config)
@@ -42,7 +51,7 @@ from repro.obs.profile import (
     WorkloadProfile,
     capture_profile,
 )
-from repro.obs.tracer import HOST_TRACK, SCHED_TRACK, Tracer
+from repro.obs.tracer import HOST_TRACK, SCHED_TRACK, TraceEvents, Tracer
 
 __all__ = [
     "EdgeStats",
@@ -54,6 +63,7 @@ __all__ = [
     "ProfileCapture",
     "ProfileError",
     "SCHED_TRACK",
+    "TraceEvents",
     "Tracer",
     "WorkloadProfile",
     "capture_profile",
@@ -71,22 +81,22 @@ class Observability:
 
     The registry is shared with the CPU (``cpu.metrics``) so counters
     bumped anywhere in the simulation are visible here; the tracer reads
-    the CPU's simulated clock.
+    the CPU's simulated clock fields directly.
     """
 
     def __init__(self, cpu) -> None:
         self.metrics: MetricsRegistry = cpu.metrics
-        self.tracer = Tracer(clock=lambda: cpu.clock_ns)
+        self.tracer = Tracer(cpu=cpu)
         # Give the CPU its hook point (wrpkru instants, etc.).
         cpu.tracer = self.tracer
-        #: Monotonic generation counter for observability toggles.
-        #: Precompiled gate crossing plans cache which recorders
-        #: (tracer spans, edge-latency histograms) are live and only
-        #: re-resolve when this epoch moves — one int compare per
-        #: crossing instead of re-checking every hook.
-        self.epoch = 0
-        self.tracer._on_toggle = self._bump_epoch
-        self.metrics._on_obs_toggle = self._bump_epoch
+        #: Gate crossing plans of this machine.  Every observer toggle
+        #: (tracer, edge-latency recording) re-resolves each plan's
+        #: hooks at once, so a crossing reads always-current hooks
+        #: without checking any observer state per call.
+        self.plans: list = []
+        self.tracer._on_toggle = self._refresh_plans
+        self.metrics._on_obs_toggle = self._refresh_plans
 
-    def _bump_epoch(self) -> None:
-        self.epoch += 1
+    def _refresh_plans(self) -> None:
+        for plan in self.plans:
+            plan.refresh()

@@ -31,7 +31,9 @@ def chrome_trace(tracer: Tracer) -> dict:
 
     Timestamps convert from simulated ns to the format's µs.  Spans
     still open (threads killed mid-crossing) are closed at the current
-    clock so every ``B`` has its ``E``.
+    clock so every ``B`` has its ``E``.  When the tracer's ring has
+    wrapped, an ``E`` whose ``B`` fell off the ring is skipped, and
+    only open spans whose ``B`` is still retained are closed.
     """
     events: list[dict] = []
     for tid, name in sorted(tracer.track_names.items()):
@@ -44,17 +46,29 @@ def chrome_trace(tracer: Tracer) -> dict:
                 "args": {"name": name},
             }
         )
+    # Retained, still-unmatched ``B`` events per track.
+    depth: dict[int, int] = {}
     for event in tracer.events:
-        out = dict(event)
-        out["pid"] = TRACE_PID
-        out["ts"] = event["ts"] / 1e3
+        phase = event["ph"]
+        if phase == "B":
+            depth[event["tid"]] = depth.get(event["tid"], 0) + 1
+        elif phase == "E":
+            if not depth.get(event["tid"]):
+                continue
+            depth[event["tid"]] -= 1
+        event["pid"] = TRACE_PID
+        event["ts"] /= 1e3
         if "dur" in event:
-            out["dur"] = event["dur"] / 1e3
-        events.append(out)
+            event["dur"] /= 1e3
+        events.append(event)
     # Balance any spans left open (e.g. threads destroyed while parked
-    # inside a gate: the gate's exit never runs, by design).
+    # inside a gate: the gate's exit never runs, by design).  Spans on
+    # a track nest, so the retained ``B`` events are its innermost ones.
     now_us = tracer.now_ns / 1e3
     for tid, name, cat in reversed(tracer.open_spans()):
+        if not depth.get(tid):
+            continue
+        depth[tid] -= 1
         events.append(
             {
                 "name": name,

@@ -116,9 +116,9 @@ class MetricsRegistry:
         #: sessions (:mod:`repro.obs.profile`) pay for it.
         self._record_edge_latency = False
         #: Optional zero-arg hook fired when :attr:`record_edge_latency`
-        #: flips — the machine's Observability bumps its epoch so gate
-        #: crossing plans re-resolve (exploration registries leave it
-        #: unset).
+        #: flips — the machine's Observability points it at the
+        #: refresh of its gate crossing plans (exploration registries
+        #: leave it unset).
         self._on_obs_toggle: "Callable[[], None] | None" = None
 
     @property
@@ -185,7 +185,12 @@ class MetricsRegistry:
         on the edge share one histogram — matching
         :meth:`crossing_matrix`'s caller→callee granularity.
         """
-        return self.histogram(f"gate.latency_ns:{caller}->{callee}")
+        return self.histogram(self.edge_latency_name(caller, callee))
+
+    @staticmethod
+    def edge_latency_name(caller: str, callee: str) -> str:
+        """Histogram name of one edge's crossing latencies."""
+        return f"gate.latency_ns:{caller}->{callee}"
 
     def edges_report(self) -> list[dict]:
         """Used edges as dict rows, busiest first.

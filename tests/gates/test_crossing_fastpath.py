@@ -9,7 +9,8 @@ batched queue submissions, observability toggles mid-trace) through
 both paths and diff the full machine state, at channel level across the
 four boundary backends and at image level across the six isolation
 profiles the benchmarks use (including SH-hardened ones), with tracing
-both off and on.
+both off and on.  Observed traces must also agree event for event: the
+Chrome trace and every per-edge latency sample.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from repro.gates import GateOptions, make_channel
 from repro.libos.compartment import Compartment
 from repro.libos.library import Linker, MicroLibrary, export, export_blocking
 from repro.machine.capabilities import base_capabilities
-from repro.machine.faults import GateError
+from repro.machine.faults import CompartmentFailure, GateError, InjectedFault
 from repro.machine.machine import Machine
 from repro.machine.mpk import pkru_for_keys
+from repro.obs import chrome_trace
 
 BACKENDS = ["mpk-shared", "mpk-switched", "vm-rpc", "cheri"]
 
@@ -56,7 +58,11 @@ class SvcLibrary(MicroLibrary):
         return addr
 
     @export
-    def boom(self):
+    def boom(self, contained=False):
+        if contained:
+            # A containable crash: the gate translates it per the
+            # callee compartment's failure policy.
+            raise InjectedFault("gate-crash", "boom")
         raise ValueError("boom")
 
     @export
@@ -110,6 +116,24 @@ def enter_caller(machine, caller):
     machine.cpu.push_context(caller.compartment.make_context("caller"))
 
 
+def observed(machine) -> tuple:
+    """What the observers saw: the Chrome trace and every latency sample."""
+    metrics = machine.cpu.metrics
+    latencies = {
+        name: metrics.histogram(name).values
+        for name in metrics.snapshot()["histograms"]
+        if name.startswith("gate.latency_ns:")
+    }
+    return chrome_trace(machine.obs.tracer), latencies
+
+
+def completions(queued) -> list:
+    return [
+        (c.ticket, c.fn, c.value, type(c.error).__name__ if c.error else None)
+        for c in queued.poll()
+    ]
+
+
 def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
     """One seeded randomized trace; returns (results, machine state)."""
     machine, service, caller = make_world(backend, gateplan)
@@ -141,13 +165,12 @@ def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
         elif op == 4:
             results.append(queued.flush())
         elif op == 5:
-            results.append(
-                [(c.ticket, c.fn, c.value) for c in queued.poll()]
-            )
+            results.append(completions(queued))
         elif op == 6 and toggle_obs:
-            # Mid-trace observability flips: the plan must re-specialize
-            # on the epoch bump, and the observing path (the slow path)
-            # must produce the same simulated numbers as always.
+            # Mid-trace observability flips: the plan re-resolves its
+            # observer hooks on every toggle, and observed crossings
+            # must produce the same simulated numbers and the same
+            # events as the slow path.
             if rng.randrange(2):
                 machine.obs.tracer.enabled = not machine.obs.tracer.enabled
             else:
@@ -155,23 +178,86 @@ def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
                 metrics.record_edge_latency = not metrics.record_edge_latency
     machine.obs.tracer.enabled = False
     queued.flush()
-    results.append([(c.ticket, c.fn, c.value) for c in queued.poll()])
+    results.append(completions(queued))
     snap = machine.cpu.snapshot()
     counters = dict(machine.cpu.metrics.counters)
-    return results, snap, counters, service.machine.cpu.clock_ns
+    return results, snap, counters, service.machine.cpu.clock_ns, observed(machine)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("toggle_obs", [False, True])
 @pytest.mark.parametrize("seed", [1, 7])
 def test_randomized_traces_bit_identical(backend, toggle_obs, seed):
-    """Fast vs slow path: same results, same clock, same counters."""
+    """Fast vs slow path: same results, clock, counters and events."""
     fast = run_trace(backend, True, seed, toggle_obs)
     slow = run_trace(backend, False, seed, toggle_obs)
     assert fast[0] == slow[0]  # returned values / errors / completions
     assert fast[1] == slow[1]  # cpu snapshot (clock + machine stats)
     assert fast[2] == slow[2]  # metrics counters
     assert fast[3] == slow[3]  # final clock
+    assert fast[4] == slow[4]  # chrome trace + edge-latency samples
+
+
+def run_observed_trace(backend: str, gateplan: bool, seed: int):
+    """A seeded trace observed from start to finish.
+
+    The tracer and edge-latency recording stay on throughout; the
+    callee restarts after a short backoff, so contained crashes (sync
+    and mid-batch), fail-fast crossings and restarts all land in the
+    trace next to the gate spans and ``wrpkru`` instants.
+    """
+    machine, service, caller = make_world(backend, gateplan)
+    service.compartment.failure_policy = "restart-with-backoff"
+    service.compartment.restart_backoff_ns = 400.0
+    machine.obs.tracer.enable()
+    machine.cpu.metrics.record_edge_latency = True
+    sync = make_channel(backend, machine, caller, service)
+    queued = make_channel(
+        f"queue:{backend}",
+        machine,
+        caller,
+        service,
+        options=GateOptions(queue_batch=3, queue_depth=16),
+    )
+    enter_caller(machine, caller)
+    rng = random.Random(seed)
+    results = []
+    for _ in range(80):
+        op = rng.randrange(7)
+        try:
+            if op == 0:
+                args = tuple(rng.randrange(100) for _ in range(rng.randrange(4)))
+                results.append(sync.invoke("echo", args))
+            elif op == 1:
+                results.append(sync.invoke("touch", (rng.randrange(1 << 20),)))
+            elif op == 2:
+                sync.invoke("boom", (True,))
+            elif op == 3:
+                results.append(queued.submit("record_free", rng.randrange(50)))
+            elif op == 4:
+                results.append(queued.submit("boom", rng.randrange(4) == 0))
+            elif op == 5:
+                results.append(queued.flush())
+            else:
+                results.append(completions(queued))
+        except CompartmentFailure as failure:
+            results.append(("failed", failure.compartment))
+    snap = machine.cpu.snapshot()
+    return results, snap, observed(machine)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_observed_traces_identical(backend):
+    """Always-on observers: both paths record the same events."""
+    fast = run_observed_trace(backend, True, 3)
+    slow = run_observed_trace(backend, False, 3)
+    trace, latencies = fast[2]
+    names = {event["name"] for event in trace["traceEvents"]}
+    assert any(name.startswith("contained:") for name in names)
+    assert any(name.startswith("restart:") for name in names)
+    assert any(".batch[" in name for name in names)
+    assert latencies and all(latencies.values())
+    assert fast == slow
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -189,23 +275,39 @@ def test_blocking_exports_identical_on_both_paths(backend):
 
 
 def test_plan_refreshes_on_observability_epoch_bump():
+    """Observers are plan hooks: toggling one refreshes the plan once,
+    and observed crossings keep taking the plan."""
     machine, service, caller = make_world("mpk-shared", True)
     channel = make_channel("mpk-shared", machine, caller, service)
     enter_caller(machine, caller)
     channel.invoke("echo", (1,))
     plan = channel._plan
-    assert plan is not None and plan.hits >= 1
+    assert plan is not None and plan.hits == 1
+    assert plan.tracer is None and plan.latency is None
     refreshes = plan.refreshes
     machine.obs.tracer.enabled = True
-    channel.invoke("echo", (2,))
     assert plan.refreshes == refreshes + 1
-    hits_while_tracing = plan.hits
+    assert plan.tracer is machine.obs.tracer
+    channel.invoke("echo", (2,))
     channel.invoke("echo", (3,))
-    # Observing -> the slow path runs; the plan takes no hits.
-    assert plan.hits == hits_while_tracing
-    machine.obs.tracer.enabled = False
+    assert plan.hits == 3
+    assert plan.refreshes == refreshes + 1
+    machine.cpu.metrics.record_edge_latency = True
+    assert plan.refreshes == refreshes + 2
+    assert plan.latency == "gate.latency_ns:caller->svc"
     channel.invoke("echo", (4,))
-    assert plan.hits == hits_while_tracing + 1
+    assert plan.hits == 4
+    machine.obs.tracer.enabled = False
+    machine.cpu.metrics.record_edge_latency = False
+    assert plan.refreshes == refreshes + 4
+    assert plan.tracer is None and plan.latency is None
+    channel.invoke("echo", (5,))
+    assert plan.hits == 5
+    spans = [e for e in machine.obs.tracer.events if e["cat"] == "gate"]
+    assert [(e["name"], e["ph"]) for e in spans] == [
+        ("caller->svc.echo", phase) for phase in "BEBEBE"
+    ]
+    assert len(machine.cpu.metrics.edge_latency("caller", "svc").values) == 1
     stats = machine.fastpath_stats()["gateplan"]
     assert stats["enabled"] and stats["plans"] >= 1
     assert stats["plan_hits"] >= plan.hits

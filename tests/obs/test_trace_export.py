@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import BuildConfig, build_image
-from repro.apps import run_iperf
+from repro.apps import make_set_payloads, run_iperf, run_redis_phase, start_redis
 from repro.obs import (
     chrome_trace,
     metrics_json,
@@ -195,3 +195,32 @@ def test_killed_thread_gate_spans_closed_by_gate(tmp_path):
         if event.get("cat") == "gate" and event["ph"] in ("B", "X")
     )
     assert gate_slices == crossings
+
+
+def _redis_trace(capacity: int | None = None):
+    image = build_image(
+        BuildConfig(
+            libraries=["libc", "netstack", "redis"],
+            compartments=[["netstack"], ["sched"], ["alloc", "libc", "redis"]],
+            backend="mpk-switched",
+        )
+    )
+    tracer = image.enable_tracing()
+    if capacity is not None:
+        tracer.set_capacity(capacity)
+    start_redis(image)
+    run_redis_phase(image, make_set_payloads(24, 16), window=4)
+    return tracer
+
+
+def test_flight_recorder_keeps_the_newest_events():
+    """A 16-event ring on a short redis run keeps exactly the last 16
+    events of the unbounded run and still exports a valid trace."""
+    full = _redis_trace()
+    ring = _redis_trace(capacity=16)
+    total = len(full.events)
+    assert full.dropped == 0 and total > 16
+    assert len(ring.events) == 16
+    assert ring.dropped == total - 16
+    assert ring.events == full.events[-16:]
+    assert validate_chrome_trace(chrome_trace(ring)) == []

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.obs.tracer import HOST_TRACK, SCHED_TRACK, Tracer
+from repro.obs import chrome_trace, validate_chrome_trace
+from repro.obs.tracer import DEFAULT_CAPACITY, HOST_TRACK, SCHED_TRACK, Tracer
 
 
-def make_tracer(start=0.0):
+def make_tracer(start=0.0, capacity=DEFAULT_CAPACITY):
     clock = {"now": start}
-    tracer = Tracer(clock=lambda: clock["now"])
+    tracer = Tracer(clock=lambda: clock["now"], capacity=capacity)
     return tracer, clock
 
 
@@ -109,3 +110,61 @@ def test_clear_resets_state():
     assert tracer.open_spans() == []
     assert tracer.current_track == HOST_TRACK
     assert SCHED_TRACK in tracer.track_names
+
+
+def test_events_view_is_read_only_and_list_like():
+    tracer, clock = make_tracer()
+    tracer.enable()
+    tracer.begin("a", "gate", kind="mpk-shared")
+    clock["now"] = 4.0
+    tracer.counter("depth", {"v": 2})
+    tracer.end()
+    expected = [
+        {"name": "a", "cat": "gate", "ph": "B", "ts": 0.0, "tid": HOST_TRACK,
+         "args": {"kind": "mpk-shared"}},
+        {"name": "depth", "ph": "C", "ts": 4.0, "tid": HOST_TRACK, "args": {"v": 2}},
+        {"name": "a", "cat": "gate", "ph": "E", "ts": 4.0, "tid": HOST_TRACK},
+    ]
+    assert len(tracer.events) == 3
+    assert tracer.events == expected
+    assert tracer.events[-1] == expected[-1]
+    assert tracer.events[:2] == expected[:2]
+    # Every read builds fresh dicts: mutating one changes nothing.
+    tracer.events[0]["args"]["kind"] = "other"
+    assert tracer.events[0]["args"] == {"kind": "mpk-shared"}
+    with pytest.raises(AttributeError):
+        tracer.events = []
+
+
+def test_ring_keeps_newest_and_counts_dropped():
+    tracer, clock = make_tracer(capacity=4)
+    tracer.enable()
+    for step in range(10):
+        clock["now"] = float(step)
+        tracer.instant(f"e{step}", "test")
+    assert [e["name"] for e in tracer.events] == ["e6", "e7", "e8", "e9"]
+    assert tracer.dropped == 6
+    tracer.clear()
+    assert len(tracer.events) == 0 and tracer.dropped == 0
+    with pytest.raises(ValueError):
+        Tracer(clock=lambda: 0.0, capacity=0)
+
+
+def test_wrapped_ring_exports_a_valid_trace():
+    """An E whose B fell off the ring is skipped; open spans whose B
+    is retained are still auto-closed, the others are not."""
+    tracer, clock = make_tracer(capacity=5)
+    tracer.enable()
+    tracer.begin("outer", "gate")  # dropped, and never closed
+    tracer.begin("early", "gate")  # dropped; its E is retained
+    for step in range(1, 4):
+        clock["now"] = float(step)
+        tracer.instant(f"i{step}", "test")
+    tracer.end()  # closes "early"
+    tracer.begin("inner", "gate")  # retained, left open
+    assert tracer.dropped == 2
+    data = chrome_trace(tracer)
+    assert validate_chrome_trace(data) == []
+    spans = [(e["name"], e["ph"]) for e in data["traceEvents"] if e.get("cat") == "gate"]
+    assert spans == [("inner", "B"), ("inner", "E")]
+    assert data["traceEvents"][-1]["args"] == {"auto_closed": True}
