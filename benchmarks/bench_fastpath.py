@@ -280,7 +280,7 @@ def _e2e_once(config_factory, driver, fast: bool, smoke: bool):
     numbers = driver(image, smoke)
     wall = time.perf_counter() - start
     snapshot = image.machine.cpu.snapshot()
-    counters = dict(image.machine.cpu.metrics.counters)
+    counters = dict(image.machine.cpu.metrics.counter_values())
     return wall, numbers, snapshot, counters, image.machine.fastpath_stats()
 
 

@@ -34,6 +34,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.libos.sched.base import WaitFlush
+from repro.machine.cpu import Context
 from repro.machine.faults import (
     CONTAINABLE_FAULTS,
     CompartmentFailure,
@@ -122,14 +123,37 @@ class CrossingPlan:
 
     Compiled at channel construction: one :class:`_PlanEntry` per
     export (resolved handler, blocking flag, and the context label and
-    span name the slow path would build with an f-string per call).
+    span name the slow path would build with an f-string per call),
+    plus the backend's crossing as data, filled in by
+    :meth:`Gate._compile_plan` — the charges the reference
+    ``_enter``/``_exit`` issue, in their order, split where control
+    leaves the plain sequence:
+
+    - entry: ``enter_pre``, then ``enter_hook`` (if any), the push of
+      the callee context, ``enter_post``;
+    - exit: ``exit_pre``, the pop, ``exit_post``, then ``exit_hook``
+      (if any), ``exit_tail``.
+
+    ``push`` is False for a crossing that keeps the caller's context
+    (only ``exit_tail`` applies).  ``bumps`` names the counters each
+    side increments; ``enter_bumps`` adds the crossing's own counters.
+    ``copies`` (None unless the entry charge depends on the argument
+    count, as a switched-stack parameter copy does) maps an argument
+    count to ``(sample, entry charges)``; rows are filled on first use
+    by the gate's ``_copy_row`` and each sample goes to ``copy_sample``.
+    What is not constant per edge stays a hook: ``enter_hook(entry,
+    args)`` returns the callee context's capabilities (CHERI grants,
+    VM-RPC call notification), ``exit_hook()`` (VM-RPC return
+    notification) and ``op_hook(entry, args)`` (per-operation grants
+    inside a batch).  Hooks charge through ``cpu.charge``.
 
     Observers are hooks the plan calls, never a different code path.
     Each is one attribute, ``None`` while its observer is off:
 
     - ``tracer`` — the machine's tracer while it records (boundary
-      channels only): the gate's ``B``/``E`` span and the MPK gates'
-      two ``wrpkru`` instants;
+      channels only): the gate's ``B``/``E`` span, plus, when
+      ``wrpkru`` is set, a ``wrpkru`` instant after ``enter_post`` and
+      after ``exit_post``;
     - ``latency`` — the edge-latency histogram name while
       ``record_edge_latency`` is on (boundary channels only).
 
@@ -141,7 +165,12 @@ class CrossingPlan:
     toggle).
     """
 
-    __slots__ = ("entries", "tracer", "latency", "hits", "refreshes", "_gate")
+    __slots__ = (
+        "entries", "tracer", "latency", "hits", "refreshes", "_gate",
+        "push", "enter_pre", "enter_post", "exit_pre", "exit_post",
+        "exit_tail", "bumps", "enter_bumps", "wrpkru", "copies",
+        "copy_sample", "enter_hook", "exit_hook", "op_hook",
+    )  # fmt: skip
 
     def __init__(self, gate: "Gate") -> None:
         self._gate = gate
@@ -154,6 +183,14 @@ class CrossingPlan:
             )
             for fn, handler in callee.exports.items()
         }
+        self.push = True
+        self.enter_pre = self.enter_post = self.exit_pre = self.exit_post = ()
+        self.exit_tail = self.bumps = ()
+        self.wrpkru = False
+        self.copies = self.copy_sample = None
+        self.enter_hook = self.exit_hook = self.op_hook = None
+        gate._compile_plan(self)
+        self.enter_bumps = gate._bump_names + self.bumps
         self.hits = 0
         self.refreshes = 0
         self.refresh()
@@ -575,58 +612,114 @@ class Gate(Channel):
         """
         return f"{self.callee_lib.NAME}.{fn}"
 
-    def _enter_fast(self, entry: _PlanEntry, args: tuple, cpu) -> None:
-        """Plan-specialized domain entry; defaults to the slow hook so
-        subclasses without a specialization stay correct."""
-        self._enter(entry.fn, args)
+    def _compile_plan(self, plan: CrossingPlan) -> None:
+        """Fill in ``plan``'s crossing data (see :class:`CrossingPlan`).
 
-    def _exit_fast(self, entry: _PlanEntry, cpu) -> None:
-        self._exit()
+        The default is a crossing that only pushes and pops the callee
+        context; backends override to describe their charge sequence.
+        """
 
-    def _per_op_enter_fast(self, entry: _PlanEntry, args: tuple, cpu) -> None:
-        self._per_op_enter(entry.fn, args)
+    def _invoke_fast(self, entry: _PlanEntry, args: tuple, batch=None) -> Any:
+        """Hot invoke: the reference path's charges, counters and
+        observer events in the same order, applied from the plan.
 
-    def _invoke_fast(self, entry: _PlanEntry, args: tuple) -> Any:
-        """Hot invoke: identical charge/bump sequence, zero derivation.
-
-        Mirrors the slow path of :meth:`invoke` line for line — every
-        ``charge`` has the same value (precomputed from the same
-        constants with the same associativity), every counter write and
-        every observer event the same order.  The only skipped work is
-        host-side: lookups, f-strings, and observer probes the plan
-        already resolved into its ``latency``/``tracer`` hooks.
+        Every charge has the value the reference path computes (from
+        the same constants with the same associativity) and is added to
+        the clock in line: each run of charges between two points where
+        other code may look at the clock is one fold, pending memory-op
+        time first — the float adds ``cpu.charge`` would make one term
+        at a time — with time attribution (``cpu._attribute``) on the
+        context each term lands on.  ``batch`` is ``(entries, ops)``
+        for a doorbell crossing (see :meth:`invoke_batch`); ``entry``
+        and ``args`` then describe the doorbell itself.
         """
         plan = self._plan
         plan.hits += 1
         machine = self.machine
         cpu = machine.cpu
         profile = cpu._contexts[-1].profile
-        cpu.charge(self._call_ns + profile.call_extra_ns)
+        if cpu.charging:
+            ns = self._call_ns + profile.call_extra_ns
+            pending = cpu._pending_ns
+            cpu._clock_ns = cpu._clock_ns + pending + ns
+            cpu._pending_ns = 0.0
+            if cpu.attribute_time:
+                cpu._attribute(pending, (ns,))
         monitors = profile.call_monitors
         if monitors:
-            fn = entry.fn
             for monitor in monitors:
-                monitor(self._caller_name, self._callee_name, fn)
-        if self._is_boundary:
-            comp = self.callee_lib.compartment
-            if comp is not None and comp.failed:
-                # Restart may rebuild compartment state the pooled
-                # context caches — drop the pool before reviving.
-                self._ctx_pool = None
-                self._check_available()
+                monitor(self._caller_name, self._callee_name, entry.fn)
+        comp = self.callee_lib.compartment
+        if self._is_boundary and comp is not None and comp.failed:
+            # Restart may rebuild compartment state the pooled context
+            # caches — drop the pool before reviving.
+            self._ctx_pool = None
+            self._check_available()
         self.crossings += 1
         self._edge.crossings += 1
         counters = self._counters
-        for name in self._bump_names:
+        for name in plan.enter_bumps:
             counters[name] = counters.get(name, 0.0) + 1.0
         latency = plan.latency
         if latency is not None:
             started = cpu.clock_ns
         tracer = plan.tracer
         if tracer is not None:
-            tracer.span_begin(entry.span, "gate", self._span_args)
-        self._enter_fast(entry, args, cpu)
+            span = entry.span
+            if batch is not None:
+                span = f"{self._span_prefix}batch[{len(batch[1])}]"
+            tracer.span_begin(span, "gate", self._span_args)
+        # --- entry: enter_pre, [enter_hook], push, enter_post ---------------
+        pre = plan.enter_pre
+        if plan.copies is not None:
+            row = plan.copies.get(len(args)) or self._copy_row(len(args))
+            plan.copy_sample(row[0])
+            pre = row[1]
+        capabilities = comp.capabilities
+        if plan.enter_hook is not None:
+            for ns in pre:
+                cpu.charge(ns)
+            pre = ()
+            capabilities = plan.enter_hook(entry, args)
+        push = plan.push
+        if push:
+            ctx = self._ctx_pool
+            if ctx is None:
+                ctx = Context(
+                    address_space=comp.address_space,
+                    pkru=comp.pkru_value,
+                    profile=comp.profile,
+                    label=entry.ctx_label,
+                    capabilities=capabilities,
+                )
+            else:
+                self._ctx_pool = None
+                ctx.label = entry.ctx_label
+                ctx.pkru = comp.pkru_value
+                ctx.capabilities = capabilities
+            post = plan.enter_post
+            if cpu.charging:
+                pending = cpu._pending_ns
+                clock = cpu._clock_ns + pending
+                for ns in pre:
+                    clock += ns
+                for ns in post:
+                    clock += ns
+                cpu._clock_ns = clock
+                cpu._pending_ns = 0.0
+                if cpu.attribute_time:
+                    cpu._attribute(pending, pre)
+                    cpu._contexts.append(ctx)
+                    cpu._attribute(0.0, post)
+                else:
+                    cpu._contexts.append(ctx)
+            else:
+                cpu.push_context(ctx)
+            if tracer is not None and plan.wrpkru:
+                tracer.wrpkru(comp.pkru_value)
         try:
+            if batch is not None:
+                return self._run_batch(plan, *batch)
             if machine.injector is not None:
                 machine.injector.on_crossing(self, entry.fn)
             return entry.handler(*args)
@@ -636,72 +729,77 @@ class Gate(Channel):
                 raise
             raise failure from exc
         finally:
-            self._exit_fast(entry, cpu)
+            # --- exit: exit_pre, pop, exit_post, [exit_hook], exit_tail -----
+            if push:
+                pre = plan.exit_pre
+                post = plan.exit_post
+                if cpu.charging:
+                    pending = cpu._pending_ns
+                    clock = cpu._clock_ns + pending
+                    for ns in pre:
+                        clock += ns
+                    for ns in post:
+                        clock += ns
+                    cpu._clock_ns = clock
+                    cpu._pending_ns = 0.0
+                    if cpu.attribute_time:
+                        cpu._attribute(pending, pre)
+                        ctx = cpu._contexts.pop()
+                        cpu._attribute(0.0, post)
+                    else:
+                        ctx = cpu._contexts.pop()
+                else:
+                    ctx = cpu.pop_context()
+                if self._ctx_pool is None:
+                    self._ctx_pool = ctx
+            if plan.exit_hook is not None:
+                plan.exit_hook()
+            if plan.wrpkru and plan.tracer is not None:
+                # The plan's current tracer: a handler may have toggled
+                # it, and cpu.wrpkru checks the tracer when it runs.
+                plan.tracer.wrpkru(cpu._contexts[-1].pkru)
+            tail = plan.exit_tail
+            if tail and cpu.charging:
+                pending = cpu._pending_ns
+                clock = cpu._clock_ns + pending
+                for ns in tail:
+                    clock += ns
+                cpu._clock_ns = clock
+                cpu._pending_ns = 0.0
+                if cpu.attribute_time:
+                    cpu._attribute(pending, tail)
+            for name in plan.bumps:
+                counters[name] = counters.get(name, 0.0) + 1.0
             if latency is not None:
                 self._metrics.histogram(latency).observe(cpu.clock_ns - started)
             if tracer is not None:
                 tracer.end()
 
-    def _invoke_batch_fast(
-        self, entries: list, ops: list[tuple[int, str, tuple]]
+    def _run_batch(
+        self, plan: CrossingPlan, entries: list, ops: list[tuple[int, str, tuple]]
     ) -> list[Completion]:
-        plan = self._plan
-        plan.hits += 1
-        machine = self.machine
-        cpu = machine.cpu
-        profile = cpu._contexts[-1].profile
-        cpu.charge(self._call_ns + profile.call_extra_ns)
-        monitors = profile.call_monitors
-        if monitors:
-            first_fn = ops[0][1]
-            for monitor in monitors:
-                monitor(self._caller_name, self._callee_name, first_fn)
-        if self._is_boundary:
-            comp = self.callee_lib.compartment
-            if comp is not None and comp.failed:
-                self._ctx_pool = None
-                self._check_available()
-        self.crossings += 1
-        self._edge.crossings += 1
-        counters = self._counters
-        for name in self._bump_names:
-            counters[name] = counters.get(name, 0.0) + 1.0
-        latency = plan.latency
-        if latency is not None:
-            started = cpu.clock_ns
-        tracer = plan.tracer
-        if tracer is not None:
-            tracer.span_begin(
-                f"{self._span_prefix}batch[{len(ops)}]", "gate", self._span_args
-            )
+        """A doorbell crossing's body: every op, inside the callee."""
+        injector = self.machine.injector
+        op_hook = plan.op_hook
         completions: list[Completion] = []
-        self._enter_fast(entries[0], (len(ops),), cpu)
-        try:
-            failure: BaseException | None = None
-            for (ticket, fn, args), entry in zip(ops, entries):
-                if failure is not None:
-                    completions.append(Completion(ticket, fn, error=failure))
-                    continue
-                try:
-                    self._per_op_enter_fast(entry, args, cpu)
-                    if machine.injector is not None:
-                        machine.injector.on_crossing(self, fn)
-                    completions.append(
-                        Completion(ticket, fn, value=entry.handler(*args))
-                    )
-                except CONTAINABLE_FAULTS as exc:
-                    failure = self._contain(exc)
-                    if failure is None:
-                        raise
-                    completions.append(Completion(ticket, fn, error=failure))
-                except Exception as exc:
-                    completions.append(Completion(ticket, fn, error=exc))
-        finally:
-            self._exit_fast(entries[0], cpu)
-            if latency is not None:
-                self._metrics.histogram(latency).observe(cpu.clock_ns - started)
-            if tracer is not None:
-                tracer.end()
+        failure: BaseException | None = None
+        for (ticket, fn, args), entry in zip(ops, entries):
+            if failure is not None:
+                completions.append(Completion(ticket, fn, error=failure))
+                continue
+            try:
+                if op_hook is not None:
+                    op_hook(entry, args)
+                if injector is not None:
+                    injector.on_crossing(self, fn)
+                completions.append(Completion(ticket, fn, value=entry.handler(*args)))
+            except CONTAINABLE_FAULTS as exc:
+                failure = self._contain(exc)
+                if failure is None:
+                    raise
+                completions.append(Completion(ticket, fn, error=failure))
+            except Exception as exc:
+                completions.append(Completion(ticket, fn, error=exc))
         return completions
 
     # --- channel interface ---------------------------------------------------------
@@ -738,7 +836,8 @@ class Gate(Channel):
                     break
                 entries.append(entry)
             if entries is not None:
-                return self._invoke_batch_fast(entries, ops)
+                # The doorbell payload is one word: the ring tail index.
+                return self._invoke_fast(entries[0], (len(ops),), (entries, ops))
         handlers = [self._lookup(fn, blocking=False) for _, fn, _ in ops]
         self._caller_side(ops[0][1])
         self._check_available()

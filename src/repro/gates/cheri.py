@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.gates.base import Gate, GateOptions
 from repro.machine.capabilities import base_capabilities
-from repro.machine.cpu import Context
 from repro.machine.faults import GateError
 
 if TYPE_CHECKING:
@@ -51,79 +50,14 @@ class CHERIGate(Gate):
                 f"CHERIGate to {callee_lib.NAME}: compartment has no "
                 f"capability set (build with backend='cheri')"
             )
-        # Fast-path constants + per-export grant specs stashed on the
-        # plan entries (CAP_GRANTS is class-level static metadata).
-        cost = machine.cost
-        self._crossing_ns = cost.cheri_crossing_ns
-        self._grant_ns = cost.cheri_grant_ns
-        self._cheri_exit_ns = cost.cheri_crossing_ns + cost.ret_ns
-        if self._plan is not None:
-            for fn, entry in self._plan.entries.items():
-                entry.extra = tuple(callee_lib.CAP_GRANTS.get(fn, ()))
 
     def _plan_ctx_label(self, fn: str) -> str:
         return f"cap:{self.callee_lib.NAME}.{fn}"
 
-    def _grants_for(self, fn: str, args: tuple):
-        for pointer_index, size_spec in self.callee_lib.CAP_GRANTS.get(fn, ()):
-            if pointer_index >= len(args):
-                continue
-            addr = args[pointer_index]
-            if not isinstance(addr, int):
-                continue
-            if size_spec < 0:
-                size = -size_spec
-            elif size_spec < len(args) and isinstance(args[size_spec], int):
-                size = args[size_spec]
-            else:
-                continue
-            yield addr, size
-
-    def _enter(self, fn: str, args: tuple) -> None:
+    def _grant(self, specs, args: tuple, capabilities) -> None:
+        """Charge and install one call's delegations on ``capabilities``."""
         cpu = self.machine.cpu
-        cost = self.machine.cost
-        cpu.charge(cost.cheri_crossing_ns)
-        capabilities = self.callee_comp.capabilities.derive()
-        for addr, size in self._grants_for(fn, args):
-            cpu.charge(cost.cheri_grant_ns)
-            capabilities.grant(addr, size)
-            cpu.bump("cap_grants")
-        context = self.callee_comp.make_context(
-            label=f"cap:{self.callee_lib.NAME}.{fn}"
-        )
-        context.capabilities = capabilities
-        cpu.push_context(context)
-
-    def _per_op_enter(self, fn: str, args: tuple) -> None:
-        """Install one batched op's delegations on the live context.
-
-        A batched crossing (queue channel doorbell) enters the callee
-        domain once with no per-call pointers; each drained submission
-        then delegates its own bounded capabilities here.  Grants
-        accumulate over the batch and are revoked together when the
-        batch context pops — the price of amortising the crossing is a
-        batch-wide (rather than per-call) revocation epoch.
-        """
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        capabilities = cpu.current.capabilities
-        for addr, size in self._grants_for(fn, args):
-            cpu.charge(cost.cheri_grant_ns)
-            capabilities.grant(addr, size)
-            cpu.bump("cap_grants")
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        # Popping the context revokes every delegated capability.
-        cpu.pop_context()
-        cpu.charge(self.machine.cost.cheri_crossing_ns + self.machine.cost.ret_ns)
-
-    # --- crossing-plan fast path --------------------------------------------
-
-    def _apply_grants_fast(self, specs, args, capabilities, cpu) -> None:
-        """Charge + install one call's delegations (``_grants_for``
-        unrolled over the plan entry's precompiled specs)."""
-        grant_ns = self._grant_ns
+        grant_ns = self.machine.cost.cheri_grant_ns
         counters = self._counters
         nargs = len(args)
         for pointer_index, size_spec in specs:
@@ -142,36 +76,59 @@ class CHERIGate(Gate):
             capabilities.grant(addr, size)
             counters["cap_grants"] = counters.get("cap_grants", 0.0) + 1.0
 
-    def _enter_fast(self, entry, args, cpu) -> None:
-        cpu.charge(self._crossing_ns)
-        comp = self.callee_comp
-        capabilities = comp.capabilities.derive()
-        if entry.extra:
-            self._apply_grants_fast(entry.extra, args, capabilities, cpu)
-        ctx = self._ctx_pool
-        if ctx is None:
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=comp.pkru_value,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = comp.pkru_value
-            ctx.capabilities = capabilities
-        cpu.push_context(ctx)
+    def _enter(self, fn: str, args: tuple) -> None:
+        cpu = self.machine.cpu
+        cpu.charge(self.machine.cost.cheri_crossing_ns)
+        capabilities = self.callee_comp.capabilities.derive()
+        self._grant(self.callee_lib.CAP_GRANTS.get(fn, ()), args, capabilities)
+        context = self.callee_comp.make_context(
+            label=f"cap:{self.callee_lib.NAME}.{fn}"
+        )
+        context.capabilities = capabilities
+        cpu.push_context(context)
 
-    def _per_op_enter_fast(self, entry, args, cpu) -> None:
-        if entry.extra:
-            self._apply_grants_fast(
-                entry.extra, args, cpu._contexts[-1].capabilities, cpu
-            )
+    def _per_op_enter(self, fn: str, args: tuple) -> None:
+        """Install one batched op's delegations on the live context.
 
-    def _exit_fast(self, entry, cpu) -> None:
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
-        cpu.charge(self._cheri_exit_ns)
+        A batched crossing (queue channel doorbell) enters the callee
+        domain once with no per-call pointers; each drained submission
+        then delegates its own bounded capabilities here.  Grants
+        accumulate over the batch and are revoked together when the
+        batch context pops — the price of amortising the crossing is a
+        batch-wide (rather than per-call) revocation epoch.
+        """
+        self._grant(
+            self.callee_lib.CAP_GRANTS.get(fn, ()),
+            args,
+            self.machine.cpu.current.capabilities,
+        )
+
+    def _exit(self) -> None:
+        cpu = self.machine.cpu
+        # Popping the context revokes every delegated capability.
+        cpu.pop_context()
+        cpu.charge(self.machine.cost.cheri_crossing_ns + self.machine.cost.ret_ns)
+
+    def _compile_plan(self, plan) -> None:
+        # Grant specs are class-level static metadata: stash them on
+        # the plan entries so the hooks never re-read the class dict.
+        cost = self.machine.cost
+        grants = self.callee_lib.CAP_GRANTS
+        for fn, entry in plan.entries.items():
+            entry.extra = tuple(grants.get(fn, ()))
+        plan.enter_pre = (cost.cheri_crossing_ns,)
+        plan.exit_post = (cost.cheri_crossing_ns + cost.ret_ns,)
+        plan.enter_hook = self._plan_derive
+        plan.op_hook = self._plan_grant
+
+    def _plan_derive(self, entry, args: tuple):
+        """Plan enter hook: the callee context's derived capabilities."""
+        capabilities = self.callee_lib.compartment.capabilities.derive()
+        if entry.extra:
+            self._grant(entry.extra, args, capabilities)
+        return capabilities
+
+    def _plan_grant(self, entry, args: tuple) -> None:
+        """Plan per-op hook: one batched op's delegations."""
+        if entry.extra:
+            self._grant(entry.extra, args, self.machine.cpu.current.capabilities)

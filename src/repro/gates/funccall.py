@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gates.base import Gate, GateOptions
-from repro.machine.cpu import Context
 
 if TYPE_CHECKING:
     from repro.libos.compartment import Compartment
@@ -38,11 +37,9 @@ class DirectChannel(Gate):
     def _exit(self) -> None:
         self.machine.cpu.charge(self.machine.cost.ret_ns)
 
-    def _enter_fast(self, entry, args, cpu) -> None:
-        pass
-
-    def _exit_fast(self, entry, cpu) -> None:
-        cpu.charge(self._ret_ns)
+    def _compile_plan(self, plan) -> None:
+        plan.push = False
+        plan.exit_tail = (self._ret_ns,)
 
 
 class ProfileChannel(Gate):
@@ -79,25 +76,5 @@ class ProfileChannel(Gate):
         self.machine.cpu.pop_context()
         self.machine.cpu.charge(self.machine.cost.ret_ns)
 
-    def _enter_fast(self, entry, args, cpu) -> None:
-        comp = self.callee_comp
-        ctx = self._ctx_pool
-        if ctx is None:
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=comp.pkru_value,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=comp.capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = comp.pkru_value
-        cpu.push_context(ctx)
-
-    def _exit_fast(self, entry, cpu) -> None:
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
-        cpu.charge(self._ret_ns)
+    def _compile_plan(self, plan) -> None:
+        plan.exit_post = (self._ret_ns,)

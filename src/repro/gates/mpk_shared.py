@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gates.base import Gate, GateOptions
-from repro.machine.cpu import Context
 
 if TYPE_CHECKING:
     from repro.libos.compartment import Compartment
@@ -37,14 +36,6 @@ class MPKSharedStackGate(Gate):
     ) -> None:
         super().__init__(machine, caller_lib, callee_lib, options)
         self.callee_comp: "Compartment" = callee_lib.compartment
-        # Fast-path constants: the same sums the slow path computes per
-        # call, from the same (immutable) cost-model fields.
-        self._switch_ns = self._switch_cost()
-        self._wrpkru_ns = machine.cost.wrpkru_ns
-        ns = machine.cost.ret_ns
-        if self.options.clear_registers:
-            ns += machine.cost.reg_clear_ns
-        self._mpk_exit_ns = ns
 
     def _switch_cost(self) -> float:
         cost = self.machine.cost
@@ -77,48 +68,20 @@ class MPKSharedStackGate(Gate):
             ns += cost.reg_clear_ns
         cpu.charge(ns)
 
-    # --- crossing-plan fast path --------------------------------------------
-    # Same charge/bump sequence as _enter/_exit with the WRPKRU inlined.
-    # Its trace instant is the plan's ``tracer`` hook (recorded at the
-    # same point as cpu.wrpkru records it, with the same value), and
-    # the gate holds the token by construction, so the token identity
-    # check is the only elided step — it touches no simulated state.
-
-    def _enter_fast(self, entry, args, cpu) -> None:
-        cpu.charge(self._switch_ns)
-        comp = self.callee_comp
-        ctx = self._ctx_pool
-        if ctx is None:
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=cpu._contexts[-1].pkru,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=comp.capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = cpu._contexts[-1].pkru
-        cpu.push_context(ctx)
-        cpu.charge(self._wrpkru_ns)
-        counters = self._counters
-        counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
-        tracer = self._plan.tracer
-        if tracer is not None:
-            tracer.wrpkru(comp.pkru_value)
-        ctx.pkru = comp.pkru_value
-
-    def _exit_fast(self, entry, cpu) -> None:
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
-        cpu.charge(self._wrpkru_ns)
-        counters = self._counters
-        counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
-        tracer = self._plan.tracer
-        if tracer is not None:
-            tracer.wrpkru(cpu._contexts[-1].pkru)
-        # The slow path re-writes the caller context's own PKRU value —
-        # a semantic no-op, so nothing to assign here.
-        cpu.charge(self._mpk_exit_ns)
+    def _compile_plan(self, plan) -> None:
+        # The same sums _enter/_exit compute per call, with cpu.wrpkru
+        # unrolled: its charge, its counter and (the ``wrpkru`` flag)
+        # its trace instant.  The gate holds the token by construction,
+        # so the token check is the only elided step; it touches no
+        # simulated state.  The exit's re-write of the caller's own
+        # PKRU is a semantic no-op.
+        cost = self.machine.cost
+        exit_ns = cost.ret_ns
+        if self.options.clear_registers:
+            exit_ns += cost.reg_clear_ns
+        plan.enter_pre = (self._switch_cost(),)
+        plan.enter_post = (cost.wrpkru_ns,)
+        plan.exit_post = (cost.wrpkru_ns,)
+        plan.exit_tail = (exit_ns,)
+        plan.bumps = ("wrpkru",)
+        plan.wrpkru = True

@@ -33,22 +33,11 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
         callee_lib: "MicroLibrary",
         options: GateOptions | None = None,
     ) -> None:
-        super().__init__(machine, caller_lib, callee_lib, options)
         # Distribution of the per-crossing parameter copies — the cost
-        # component that separates this gate from the shared-stack one.
+        # component that separates this gate from the shared-stack one
+        # (created first: the crossing plan samples into it).
         self._copy_hist = machine.cpu.metrics.histogram("gate.arg_copy_bytes")
-        # Fast-path constants mirroring _enter/_exit's exact arithmetic
-        # (a + b precomputed; the arg-byte term keeps its per-call
-        # associativity so the charges stay bit-identical).
-        cost = machine.cost
-        self._ss_base_ns = cost.stack_switch_ns + cost.mem_op_ns
-        self._mem_byte_ns = cost.mem_byte_ns
-        self._word_bytes = self.options.word_bytes
-        self._ss_exit_ns = (
-            cost.stack_switch_ns
-            + cost.mem_op_ns
-            + self.options.word_bytes * cost.mem_byte_ns * 2
-        )
+        super().__init__(machine, caller_lib, callee_lib, options)
 
     def _enter(self, fn: str, args: tuple) -> None:
         cpu = self.machine.cpu
@@ -77,16 +66,26 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
         cpu.bump("stack_switches")
         super()._exit()
 
-    def _enter_fast(self, entry, args, cpu) -> None:
-        arg_bytes = max(1, len(args)) * self._word_bytes
-        self._copy_hist.observe(arg_bytes)
-        cpu.charge(self._ss_base_ns + arg_bytes * self._mem_byte_ns * 2)
-        counters = self._counters
-        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
-        super()._enter_fast(entry, args, cpu)
+    def _compile_plan(self, plan) -> None:
+        super()._compile_plan(plan)
+        cost = self.machine.cost
+        plan.copies = {}
+        plan.copy_sample = self._copy_hist.values.append
+        plan.exit_pre = (
+            cost.stack_switch_ns
+            + cost.mem_op_ns
+            + self.options.word_bytes * cost.mem_byte_ns * 2,
+        )
+        plan.bumps = ("stack_switches",) + plan.bumps
 
-    def _exit_fast(self, entry, cpu) -> None:
-        cpu.charge(self._ss_exit_ns)
-        counters = self._counters
-        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
-        super()._exit_fast(entry, cpu)
+    def _copy_row(self, nargs: int) -> tuple:
+        """``plan.copies`` row: the copy-size sample and the entry
+        charges (_enter's stack switch and copy, then the MPK entry)."""
+        cost = self.machine.cost
+        arg_bytes = max(1, nargs) * self.options.word_bytes
+        copy_ns = (
+            cost.stack_switch_ns + cost.mem_op_ns + arg_bytes * cost.mem_byte_ns * 2
+        )
+        plan = self._plan
+        plan.copies[nargs] = row = (float(arg_bytes), (copy_ns,) + plan.enter_pre)
+        return row

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gates.base import Gate, GateOptions
-from repro.machine.cpu import Context
 from repro.machine.faults import GateError, RPCTimeout
 
 if TYPE_CHECKING:
@@ -56,7 +55,6 @@ class VMRPCGate(Gate):
         #: Resilience accounting for this channel.
         self.retries = 0
         self.duplicates_discarded = 0
-        self._word_bytes = self.options.word_bytes
 
     def _plan_ctx_label(self, fn: str) -> str:
         return f"rpc:{self.callee_lib.NAME}.{fn}"
@@ -115,31 +113,16 @@ class VMRPCGate(Gate):
         self._notify(self.options.word_bytes)
         cpu.charge(cost.ret_ns)
 
-    # --- crossing-plan fast path --------------------------------------------
-    # The notification (with its retry/duplicate machinery) stays the
-    # shared _notify; only the context construction is specialized.
+    def _compile_plan(self, plan) -> None:
+        # The notifications, with their retry/duplicate machinery, stay
+        # _notify, called from the plan's hooks.
+        plan.enter_hook = self._plan_call
+        plan.exit_hook = self._plan_return
+        plan.exit_tail = (self.machine.cost.ret_ns,)
 
-    def _enter_fast(self, entry, args, cpu) -> None:
-        self._notify(max(1, len(args)) * self._word_bytes)
-        comp = self.callee_comp
-        ctx = self._ctx_pool
-        if ctx is None:
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=comp.pkru_value,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=comp.capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = comp.pkru_value
-        cpu.push_context(ctx)
+    def _plan_call(self, entry, args: tuple):
+        self._notify(max(1, len(args)) * self.options.word_bytes)
+        return self.callee_comp.capabilities
 
-    def _exit_fast(self, entry, cpu) -> None:
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
-        self._notify(self._word_bytes)
-        cpu.charge(self._ret_ns)
+    def _plan_return(self) -> None:
+        self._notify(self.options.word_bytes)

@@ -14,6 +14,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Callable
 
 from repro.machine.cycles import DEFAULT_COST_MODEL, CostModel
+from repro.machine.faults import ProtectionFault
 from repro.machine.mpk import pkru_all_access
 from repro.obs.metrics import MetricsRegistry
 
@@ -86,11 +87,11 @@ class CPU:
         # Deferred accounting (the machine fast path): memory ops
         # accumulate their clock and counter deltas into these plain
         # attributes instead of going through charge()/bump() per op.
-        # flush_accounting() folds them into the real clock/counters at
-        # every observation point — any direct charge, context change,
-        # stats/snapshot read — so no external reader can tell the
-        # difference.  The per-op counter deltas are integer-valued
-        # floats, so addition order cannot change their value.
+        # The pending clock is folded in by every charge (which adds
+        # ``(clock + pending) + ns``, exactly what a flush followed by
+        # the add produces) and by every context change; the counter
+        # deltas are integer-valued floats, so addition order cannot
+        # change their value and they fold lazily, at counter reads.
         self._pending_ns: float = 0.0
         self._pend_loads: float = 0.0
         self._pend_load_bytes: float = 0.0
@@ -133,8 +134,7 @@ class CPU:
     def stats(self) -> dict[str, float]:
         """Legacy flat-counter view — the registry's counter table
         itself (flushed), so ``bump``/``stats`` never diverge."""
-        self.flush_accounting()
-        return self.metrics.counters
+        return self.metrics.counter_values()
 
     @property
     def domain_time_ns(self) -> dict[str, float]:
@@ -145,10 +145,10 @@ class CPU:
     def flush_accounting(self) -> None:
         """Fold pending memory-op charges into the clock and counters.
 
-        Called at every observation point: direct charges, context
-        push/pop/swap (so attribution lands on the accruing context),
-        counter/snapshot reads, and scheduler switches.  Idempotent and
-        cheap when nothing is pending.
+        Called at context push/pop/swap while a charge is pending (so
+        attribution lands on the accruing context), at counter/snapshot
+        reads, and at scheduler switches.  Idempotent and cheap when
+        nothing is pending.
         """
         pending = self._pending_ns
         if pending:
@@ -192,14 +192,16 @@ class CPU:
 
     def push_context(self, context: Context) -> None:
         """Enter a protection domain (gate entry, boot)."""
-        self.flush_accounting()
+        if self._pending_ns:
+            self.flush_accounting()
         self._contexts.append(context)
 
     def pop_context(self) -> Context:
         """Leave the current protection domain (gate return)."""
         if not self._contexts:
             raise RuntimeError("context stack underflow")
-        self.flush_accounting()
+        if self._pending_ns:
+            self.flush_accounting()
         return self._contexts.pop()
 
     @property
@@ -241,8 +243,6 @@ class CPU:
         inspection / Hodor's runtime checks rejecting rogue WRPKRU
         occurrences (see also "PKU Pitfalls", cited by the paper).
         """
-        from repro.machine.faults import ProtectionFault
-
         self.charge(self.cost.wrpkru_ns)
         self.bump("wrpkru")
         tracer = self.tracer
@@ -260,15 +260,35 @@ class CPU:
     # --- accounting -------------------------------------------------------
 
     def charge(self, ns: float) -> None:
-        """Advance the clock by ``ns`` simulated nanoseconds."""
+        """Advance the clock by ``ns`` simulated nanoseconds.
+
+        Folds the pending memory-op time first: ``(clock + pending) +
+        ns`` is the float a flush followed by the add produces, and
+        ``x + 0.0 == x``, so nothing pending costs no branch.
+        """
         if self.charging:
-            self.flush_accounting()
-            self._clock_ns += ns
+            pending = self._pending_ns
+            self._clock_ns = self._clock_ns + pending + ns
+            self._pending_ns = 0.0
             if self.attribute_time and self._contexts:
                 name = self._contexts[-1].profile.name
-                self._domain_time_ns[name] = (
-                    self._domain_time_ns.get(name, 0.0) + ns
-                )
+                domain = self._domain_time_ns
+                domain[name] = domain.get(name, 0.0) + pending + ns
+
+    def _attribute(self, pending: float, charges: tuple) -> None:
+        """Attribute a fold to the current context's profile: pending
+        time plus ``charges``, in order (no entry for an empty fold).
+
+        The crossing plans fold their charge sequences in line and call
+        this while ``attribute_time`` is on.
+        """
+        if self._contexts and (pending or charges):
+            name = self._contexts[-1].profile.name
+            domain = self._domain_time_ns
+            total = domain.get(name, 0.0) + pending
+            for ns in charges:
+                total += ns
+            domain[name] = total
 
     def charge_mem(self, ns: float, op: str, size: int) -> None:
         """Deferred-accounting charge for one memory op.

@@ -143,6 +143,17 @@ class MetricsRegistry:
             self._pre_read()
         return self.counters.get(name, 0.0)
 
+    def counter_values(self) -> dict[str, float]:
+        """The counter table with deferred deltas folded in.
+
+        The live dict (copy it to keep a snapshot).  Read counters here
+        or through :meth:`counter`: the raw :attr:`counters` lags by
+        the memory ops since the CPU last folded them in.
+        """
+        if self._pre_read is not None:
+            self._pre_read()
+        return self.counters
+
     # --- gauges / histograms ----------------------------------------------
 
     def gauge(self, name: str) -> Gauge:
@@ -242,10 +253,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """JSON-ready copy of everything the registry holds."""
-        if self._pre_read is not None:
-            self._pre_read()
         return {
-            "counters": dict(self.counters),
+            "counters": dict(self.counter_values()),
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {
                 name: h.summary() for name, h in sorted(self._histograms.items())

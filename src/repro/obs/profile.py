@@ -295,7 +295,7 @@ class ProfileCapture:
         self._baseline = {
             "clock_ns": cpu.clock_ns,
             "edges": metrics.edge_counts(),
-            "counters": dict(metrics.counters),
+            "counters": dict(metrics.counter_values()),
             "cpu_time_ns": dict(cpu.domain_time_ns),
             "alloc": self._alloc_totals(),
             "latency_counts": self._latency_counts(),
@@ -389,7 +389,7 @@ class ProfileCapture:
         counter_base = baseline["counters"]
         counters = {
             name: value - counter_base.get(name, 0.0)
-            for name, value in metrics.counters.items()
+            for name, value in metrics.counter_values().items()
             if value - counter_base.get(name, 0.0) != 0
         }
 

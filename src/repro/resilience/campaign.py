@@ -193,7 +193,7 @@ def run_cell(
     )
     thread_failures = len(image.scheduler.thread_failures)
     verdict = _classify(injector, completed, failures, thread_failures)
-    counters = image.machine.cpu.metrics.counters
+    counters = image.machine.cpu.metrics.counter_values()
     cell = {
         "backend": backend,
         "site": site,

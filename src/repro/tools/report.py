@@ -81,7 +81,7 @@ def machine_telemetry(images) -> dict:
         total["wheel_cascades"] += getattr(
             image.scheduler, "timer_cascades", 0
         )
-        counters = image.machine.cpu.metrics.counters
+        counters = image.machine.cpu.metrics.counter_values()
         delivery["wakes"] += counters.get("queue.wakes", 0.0)
         delivery["polls"] += counters.get("queue.polls", 0.0)
         delivery["wait_parks"] += counters.get("queue.wait_parks", 0.0)

@@ -22,6 +22,7 @@ import pytest
 from repro import BuildConfig, build_image
 from repro.apps import run_named_workload
 from repro.gates import GateOptions, make_channel
+from repro.gates.registry import GATE_KINDS
 from repro.libos.compartment import Compartment
 from repro.libos.library import Linker, MicroLibrary, export, export_blocking
 from repro.machine.capabilities import base_capabilities
@@ -49,6 +50,14 @@ class SvcLibrary(MicroLibrary):
     SPEC = "[Memory access] Read(Own); Write(Own)"
     CAP_GRANTS = {"touch": ((0, -64),)}
 
+    def on_install(self):
+        self.buf = self.alloc_static(256)
+
+    @export
+    def poke(self, offset, data):
+        self.machine.store(self.buf + offset, data)
+        return self.machine.load(self.buf + offset, len(data))
+
     @export
     def echo(self, *args):
         return args
@@ -69,6 +78,11 @@ class SvcLibrary(MicroLibrary):
     def record_free(self, value):
         return value
 
+    @export
+    def flip_tracer(self):
+        tracer = self.machine.obs.tracer
+        tracer.enabled = not tracer.enabled
+
     @export_blocking
     def sleepy(self):
         yield
@@ -78,6 +92,9 @@ class SvcLibrary(MicroLibrary):
 class CallerLibrary(MicroLibrary):
     NAME = "caller"
     SPEC = "[Memory access] Read(Own); Write(Own)"
+
+    def on_install(self):
+        self.buf = self.alloc_static(256)
 
 
 def make_world(backend: str, gateplan: bool):
@@ -148,9 +165,19 @@ def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
     enter_caller(machine, caller)
     rng = random.Random(seed)
     results = []
-    for _ in range(60):
-        op = rng.randrange(7)
-        if op == 0:
+    cpu = machine.cpu
+    for step in range(60):
+        # An uncharged stretch: memory ops still count, the clock and
+        # the time attribution stand still.
+        cpu.charging = not 20 <= step < 30
+        op = rng.randrange(9)
+        if op == 7:
+            data = rng.randbytes(rng.randrange(1, 24))
+            results.append(sync.invoke("poke", (rng.randrange(128), data)))
+        elif op == 8:
+            # Caller-side memory traffic, left pending into a crossing.
+            machine.store(caller.buf + rng.randrange(128), rng.randbytes(16))
+        elif op == 0:
             args = tuple(rng.randrange(100) for _ in range(rng.randrange(4)))
             results.append(sync.invoke("echo", args))
         elif op == 1:
@@ -169,26 +196,38 @@ def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
         elif op == 6 and toggle_obs:
             # Mid-trace observability flips: the plan re-resolves its
             # observer hooks on every toggle, and observed crossings
-            # must produce the same simulated numbers and the same
-            # events as the slow path.
-            if rng.randrange(2):
+            # must produce the same simulated numbers, the same events
+            # and the same per-domain time as the slow path.
+            flip = rng.randrange(3)
+            if flip == 0:
                 machine.obs.tracer.enabled = not machine.obs.tracer.enabled
-            else:
+            elif flip == 1:
                 metrics = machine.cpu.metrics
                 metrics.record_edge_latency = not metrics.record_edge_latency
+            else:
+                cpu.attribute_time = not cpu.attribute_time
     machine.obs.tracer.enabled = False
     queued.flush()
     results.append(completions(queued))
     snap = machine.cpu.snapshot()
     counters = dict(machine.cpu.metrics.counters)
-    return results, snap, counters, service.machine.cpu.clock_ns, observed(machine)
+    domain_time = {name: ns.hex() for name, ns in cpu.domain_time_ns.items()}
+    return (
+        results,
+        snap,
+        counters,
+        service.machine.cpu.clock_ns,
+        observed(machine),
+        domain_time,
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("toggle_obs", [False, True])
 @pytest.mark.parametrize("seed", [1, 7])
 def test_randomized_traces_bit_identical(backend, toggle_obs, seed):
-    """Fast vs slow path: same results, clock, counters and events."""
+    """Fast vs slow path: same results, clock, counters, events and
+    per-domain time attribution."""
     fast = run_trace(backend, True, seed, toggle_obs)
     slow = run_trace(backend, False, seed, toggle_obs)
     assert fast[0] == slow[0]  # returned values / errors / completions
@@ -196,6 +235,8 @@ def test_randomized_traces_bit_identical(backend, toggle_obs, seed):
     assert fast[2] == slow[2]  # metrics counters
     assert fast[3] == slow[3]  # final clock
     assert fast[4] == slow[4]  # chrome trace + edge-latency samples
+    assert fast[5] == slow[5]  # per-domain simulated time, as float.hex
+    assert fast[5] or not toggle_obs
 
 
 def run_observed_trace(backend: str, gateplan: bool, seed: int):
@@ -261,6 +302,25 @@ def test_observed_traces_identical(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_tracer_toggled_inside_a_handler(backend):
+    """A handler that turns the tracer on or off mid-crossing: both
+    paths record the same events (the exit ``wrpkru`` instant follows
+    the tracer's state at the exit, the span only the entry's)."""
+    traces = []
+    for gateplan in (True, False):
+        machine, service, caller = make_world(backend, gateplan)
+        channel = make_channel(backend, machine, caller, service)
+        enter_caller(machine, caller)
+        for _ in range(3):
+            channel.invoke("flip_tracer", ())
+            channel.invoke("echo", (1,))
+        machine.obs.tracer.enabled = False
+        traces.append(observed(machine))
+    assert traces[0] == traces[1]
+    assert traces[0][0]["traceEvents"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_blocking_exports_identical_on_both_paths(backend):
     """A plain invoke of a blocking export fails identically."""
     errors = []
@@ -272,6 +332,53 @@ def test_blocking_exports_identical_on_both_paths(backend):
             channel.invoke("sleepy", ())
         errors.append(str(excinfo.value))
     assert errors[0] == errors[1]
+
+
+OBSERVERS = {
+    "none": lambda machine: None,
+    "tracer": lambda machine: machine.obs.tracer.enable(),
+    "latency": lambda machine: setattr(
+        machine.cpu.metrics, "record_edge_latency", True
+    ),
+    "attribution": lambda machine: setattr(machine.cpu, "attribute_time", True),
+}
+OBSERVERS["all"] = lambda machine: [
+    OBSERVERS[name](machine) for name in ("tracer", "latency", "attribution")
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_observed_crossings_stay_on_the_plan(backend, monkeypatch):
+    """One path: with any observer on, sync and batched crossings take
+    the plan exactly as often as unobserved ones, and the reference
+    enter/exit hooks never run."""
+
+    def reference_hook(*args):
+        raise AssertionError("crossing left the plan")
+
+    def plan_hits(observe) -> tuple:
+        machine, service, caller = make_world(backend, True)
+        sync = make_channel(backend, machine, caller, service)
+        queued = make_channel(
+            f"queue:{backend}",
+            machine,
+            caller,
+            service,
+            options=GateOptions(queue_batch=3, queue_depth=16),
+        )
+        enter_caller(machine, caller)
+        observe(machine)
+        for value in range(12):
+            sync.invoke("echo", (value,))
+            queued.submit("record_free", value)
+        queued.flush()
+        return sync._plan.hits, queued.inner._plan.hits
+
+    for name in ("_enter", "_exit", "_per_op_enter"):
+        monkeypatch.setattr(GATE_KINDS[backend], name, reference_hook)
+    hits = {name: plan_hits(observe) for name, observe in OBSERVERS.items()}
+    assert hits["none"] == (12, 4)
+    assert set(hits.values()) == {hits["none"]}
 
 
 def test_plan_refreshes_on_observability_epoch_bump():

@@ -68,6 +68,24 @@ def test_capture_window_is_a_delta():
     assert cap.profile.gate_latency_ns == {}
 
 
+def test_capture_folds_pending_memory_ops():
+    """A load just before the window is counted in the baseline, not in
+    the window: the capture reads counters with the CPU's deferred
+    memory-op deltas folded in, at both ends."""
+    image = _image()
+    run_named_workload(image, "redis", {"gets": 5})
+    lib = image.lib("redis")
+    addr = lib.alloc_static(64)
+    image.machine.cpu.push_context(lib.compartment.make_context())
+    image.machine.load(addr, 8)
+    with capture_profile(image, "redis") as cap:
+        pass
+    assert cap.profile.counters == {}
+    with capture_profile(image, "redis") as cap:
+        image.machine.load(addr, 8)
+    assert cap.profile.counters == {"load_bytes": 8.0, "loads": 1.0}
+
+
 def test_capture_restores_flags_and_leaves_no_open_spans():
     image = _image()
     cpu = image.machine.cpu
