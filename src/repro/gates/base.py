@@ -103,8 +103,8 @@ class _PlanEntry:
     """One export's precompiled crossing state (see :class:`CrossingPlan`).
 
     ``extra`` is backend payload — e.g. the CHERI gate stashes the
-    export's ``CAP_GRANTS`` specs so the fast path never re-reads the
-    class dict per call.
+    export's ``CAP_GRANTS`` specs so a crossing never re-reads the
+    class dict.
     """
 
     __slots__ = ("fn", "handler", "blocking", "ctx_label", "span", "extra")
@@ -121,13 +121,12 @@ class _PlanEntry:
 class CrossingPlan:
     """Per-edge precompiled crossing state, built once per channel.
 
-    Compiled at channel construction: one :class:`_PlanEntry` per
-    export (resolved handler, blocking flag, and the context label and
-    span name the slow path would build with an f-string per call),
-    plus the backend's crossing as data, filled in by
-    :meth:`Gate._compile_plan` — the charges the reference
-    ``_enter``/``_exit`` issue, in their order, split where control
-    leaves the plain sequence:
+    The one description of a gate's crossing, which every crossing
+    (sync, batched and blocking) applies.  Compiled at channel
+    construction: one :class:`_PlanEntry` per export (resolved handler,
+    blocking flag, context label and span name), plus the backend's
+    crossing as data, filled in by :meth:`Gate._compile_plan` — its
+    charges in order, split where control leaves the plain sequence:
 
     - entry: ``enter_pre``, then ``enter_hook`` (if any), the push of
       the callee context, ``enter_post``;
@@ -160,9 +159,8 @@ class CrossingPlan:
     :class:`~repro.obs.Observability` calls :meth:`refresh` on every
     plan whenever an observer toggles, so the hooks are always current
     and a crossing checks no observer state of its own.  ``hits`` and
-    ``refreshes`` are host-side telemetry (never in the metrics
-    registry, so snapshots stay identical across the ``REPRO_GATEPLAN``
-    toggle).
+    ``refreshes`` are host-side telemetry, kept out of the metrics
+    registry so snapshots hold simulated quantities only.
     """
 
     __slots__ = (
@@ -416,12 +414,10 @@ class Gate(Channel):
             caller_lib.NAME, callee_lib.NAME, self.KIND
         )
         self._tracer = machine.obs.tracer
-        # --- crossing-plan fast path -----------------------------------
-        # Everything the hot invoke needs, flattened into attributes so
-        # the fast path does no cost-model / registry attribute chasing.
-        # All precomputed values feed the *same* charge/bump sequence
-        # the slow path issues, so the REPRO_GATEPLAN toggle cannot
-        # change any simulated observable.
+        # --- crossing plan ---------------------------------------------
+        # Everything a crossing needs, flattened into attributes so it
+        # does no cost-model / registry attribute chasing per call.
+        self._cpu = machine.cpu
         self._caller_name = caller_lib.NAME
         self._callee_name = callee_lib.NAME
         self._counters = self._metrics.counters
@@ -441,91 +437,33 @@ class Gate(Channel):
         self._latency_name = self._metrics.edge_latency_name(
             caller_lib.NAME, callee_lib.NAME
         )
-        #: Pooled callee Context reused by non-nested fast invokes (a
-        #: plain invoke cannot suspend, so the context is dead again by
-        #: the time the call returns).
+        #: Pooled callee Context.  A crossing takes it (emptying the
+        #: pool) and returns its context once popped — then no thread's
+        #: context stack holds it.  A blocking crossing parked inside the
+        #: callee keeps its context on its thread's saved stack until it
+        #: exits, and a thread destroyed there never returns it.
         self._ctx_pool = None
-        self._plan: CrossingPlan | None = None
-        if machine.gateplan_enabled:
-            self._plan = CrossingPlan(self)
-            machine.obs.plans.append(self._plan)
+        self._plan = CrossingPlan(self)
+        machine.obs.plans.append(self._plan)
 
     # --- shared plumbing ----------------------------------------------------
 
-    def _lookup(self, fn: str, blocking: bool):
-        """Entry-point enforcement: only exports are callable."""
-        callee = self.callee_lib
-        handler = callee.exports.get(fn)
-        if handler is None:
+    def _lookup(self, fn: str, blocking: bool) -> _PlanEntry:
+        """Entry-point enforcement: only exports are callable, blocking
+        ones only through ``invoke_gen`` and plain ones only through
+        ``invoke``/``submit``.  Returns the export's plan entry."""
+        entry = self._plan.entries.get(fn)
+        callee = self.callee_lib.NAME
+        if entry is None:
             raise GateError(
-                f"{callee.NAME} has no export {fn!r} "
+                f"{callee} has no export {fn!r} "
                 f"(called from {self.caller_lib.NAME})"
             )
-        is_blocking = fn in callee.blocking_exports
-        if blocking and not is_blocking:
-            raise GateError(f"{callee.NAME}.{fn} is not a blocking export")
-        if not blocking and is_blocking:
-            raise GateError(
-                f"{callee.NAME}.{fn} is blocking; use call_gen / yield from"
-            )
-        return handler
-
-    def _caller_side(self, fn: str) -> None:
-        """Charge the call itself plus caller-profile instrumentation."""
-        cpu = self.machine.cpu
-        profile = cpu.current.profile
-        cpu.charge(self.machine.cost.call_ns + profile.call_extra_ns)
-        for monitor in profile.call_monitors:
-            monitor(self.caller_lib.NAME, self.callee_lib.NAME, fn)
-
-    def _record_crossing(self) -> None:
-        """Unified crossing accounting (channel, edge, CPU counters)."""
-        self.crossings += 1
-        self._edge.crossings += 1
-        cpu = self.machine.cpu
-        if self.IS_BOUNDARY:
-            cpu.bump("gate_crossings")
-        if self.EXTRA_COUNTER:
-            cpu.bump(self.EXTRA_COUNTER)
-
-    def _latency_start(self) -> float | None:
-        """Simulated start time of a crossing, when profiling wants it.
-
-        Only boundary crossings are worth a latency sample, and only
-        when a profiling session flipped ``record_edge_latency`` on —
-        reading the clock charges nothing, so recording is invisible to
-        the simulation either way.
-        """
-        if self.IS_BOUNDARY and self._metrics.record_edge_latency:
-            return self.machine.cpu.clock_ns
-        return None
-
-    def _latency_end(self, started: float | None) -> None:
-        """Record one crossing's simulated round-trip duration."""
-        if started is not None:
-            self._metrics.edge_latency(
-                self.caller_lib.NAME, self.callee_lib.NAME
-            ).observe(self.machine.cpu.clock_ns - started)
-
-    def _trace_begin(self, fn: str) -> int | None:
-        """Open a crossing span; returns its track id, or None.
-
-        Spans ride the calling thread's track, so a blocking call that
-        suspends keeps its span open across the suspension and closes
-        it after resume — other threads' events land on other tracks.
-        The track id is returned so teardown paths (a thread destroyed
-        while parked inside the call) can close the span even though
-        the tracer has moved on to another track by then.
-        """
-        tracer = self._tracer
-        if not (tracer.enabled and self.IS_BOUNDARY):
-            return None
-        tracer.begin(
-            f"{self.caller_lib.NAME}->{self.callee_lib.NAME}.{fn}",
-            "gate",
-            kind=self.KIND,
-        )
-        return tracer.current_track
+        if blocking and not entry.blocking:
+            raise GateError(f"{callee}.{fn} is not a blocking export")
+        if not blocking and entry.blocking:
+            raise GateError(f"{callee}.{fn} is blocking; use call_gen / yield from")
+        return entry
 
     # --- fault containment ---------------------------------------------------
 
@@ -579,36 +517,13 @@ class Gate(Channel):
             )
         return failure
 
-    def _inject(self, fn: str) -> None:
-        """Resilience-harness hook, called inside the callee's domain."""
-        injector = self.machine.injector
-        if injector is not None:
-            injector.on_crossing(self, fn)
-
-    # --- domain switch hooks (overridden by real gates) ---------------------------
-
-    def _enter(self, fn: str, args: tuple) -> None:
-        """Perform/charge the switch into the callee's domain."""
-
-    def _exit(self) -> None:
-        """Perform/charge the switch back into the caller's domain."""
-
-    def _per_op_enter(self, fn: str, args: tuple) -> None:
-        """Per-operation rearm inside one batched crossing.
-
-        Most backends switch domains once per batch and need nothing
-        here; the CHERI gate overrides it to install each operation's
-        capability delegations on the already-derived context.
-        """
-
-    # --- crossing-plan fast path --------------------------------------------
+    # --- the crossing plan ----------------------------------------------------
 
     def _plan_ctx_label(self, fn: str) -> str:
-        """The context label the slow-path ``_enter`` builds for ``fn``.
+        """The callee context's label for a crossing into ``fn``.
 
-        Precomputed once per export at plan compile time so the fast
-        path never formats strings per call; backends override to match
-        their own f-string exactly.
+        Built once per export at plan compile time; backends override
+        it to tag their contexts (``cap:``, ``rpc:``).
         """
         return f"{self.callee_lib.NAME}.{fn}"
 
@@ -619,24 +534,28 @@ class Gate(Channel):
         context; backends override to describe their charge sequence.
         """
 
-    def _invoke_fast(self, entry: _PlanEntry, args: tuple, batch=None) -> Any:
-        """Hot invoke: the reference path's charges, counters and
-        observer events in the same order, applied from the plan.
+    def _plan_enter(self, entry: _PlanEntry, args: tuple, span: str) -> tuple:
+        """The plan's entry half: everything up to the handler call.
 
-        Every charge has the value the reference path computes (from
-        the same constants with the same associativity) and is added to
-        the clock in line: each run of charges between two points where
-        other code may look at the clock is one fold, pending memory-op
-        time first — the float adds ``cpu.charge`` would make one term
-        at a time — with time attribution (``cpu._attribute``) on the
-        context each term lands on.  ``batch`` is ``(entries, ops)``
-        for a doorbell crossing (see :meth:`invoke_batch`); ``entry``
-        and ``args`` then describe the doorbell itself.
+        The call charge and the caller profile's call monitors, the
+        availability check (fail fast, or restart), the crossing's
+        counters, the observers (edge-latency start time, the ``span``
+        on the current track) and the domain switch: ``enter_pre``,
+        ``enter_hook``, the push of the callee context, ``enter_post``.
+        Returns ``(tracer, started)`` for :meth:`_plan_exit`: the
+        tracer that opened the span and the latency start time, each
+        None while its observer is off.
+
+        Charges are added to the clock in line: each run of charges
+        between two points where other code may look at the clock is
+        one fold, pending memory-op time first — the float adds
+        ``cpu.charge`` would make one term at a time — with time
+        attribution (``cpu._attribute``) on the context each term lands
+        on.
         """
         plan = self._plan
         plan.hits += 1
-        machine = self.machine
-        cpu = machine.cpu
+        cpu = self._cpu
         profile = cpu._contexts[-1].profile
         if cpu.charging:
             ns = self._call_ns + profile.call_extra_ns
@@ -660,14 +579,9 @@ class Gate(Channel):
         counters = self._counters
         for name in plan.enter_bumps:
             counters[name] = counters.get(name, 0.0) + 1.0
-        latency = plan.latency
-        if latency is not None:
-            started = cpu.clock_ns
+        started = cpu.clock_ns if plan.latency is not None else None
         tracer = plan.tracer
         if tracer is not None:
-            span = entry.span
-            if batch is not None:
-                span = f"{self._span_prefix}batch[{len(batch[1])}]"
             tracer.span_begin(span, "gate", self._span_args)
         # --- entry: enter_pre, [enter_hook], push, enter_post ---------------
         pre = plan.enter_pre
@@ -681,8 +595,7 @@ class Gate(Channel):
                 cpu.charge(ns)
             pre = ()
             capabilities = plan.enter_hook(entry, args)
-        push = plan.push
-        if push:
+        if plan.push:
             ctx = self._ctx_pool
             if ctx is None:
                 ctx = Context(
@@ -717,70 +630,70 @@ class Gate(Channel):
                 cpu.push_context(ctx)
             if tracer is not None and plan.wrpkru:
                 tracer.wrpkru(comp.pkru_value)
-        try:
-            if batch is not None:
-                return self._run_batch(plan, *batch)
-            if machine.injector is not None:
-                machine.injector.on_crossing(self, entry.fn)
-            return entry.handler(*args)
-        except CONTAINABLE_FAULTS as exc:
-            failure = self._contain(exc)
-            if failure is None:
-                raise
-            raise failure from exc
-        finally:
-            # --- exit: exit_pre, pop, exit_post, [exit_hook], exit_tail -----
-            if push:
-                pre = plan.exit_pre
-                post = plan.exit_post
-                if cpu.charging:
-                    pending = cpu._pending_ns
-                    clock = cpu._clock_ns + pending
-                    for ns in pre:
-                        clock += ns
-                    for ns in post:
-                        clock += ns
-                    cpu._clock_ns = clock
-                    cpu._pending_ns = 0.0
-                    if cpu.attribute_time:
-                        cpu._attribute(pending, pre)
-                        ctx = cpu._contexts.pop()
-                        cpu._attribute(0.0, post)
-                    else:
-                        ctx = cpu._contexts.pop()
-                else:
-                    ctx = cpu.pop_context()
-                if self._ctx_pool is None:
-                    self._ctx_pool = ctx
-            if plan.exit_hook is not None:
-                plan.exit_hook()
-            if plan.wrpkru and plan.tracer is not None:
-                # The plan's current tracer: a handler may have toggled
-                # it, and cpu.wrpkru checks the tracer when it runs.
-                plan.tracer.wrpkru(cpu._contexts[-1].pkru)
-            tail = plan.exit_tail
-            if tail and cpu.charging:
+        return tracer, started
+
+    def _plan_exit(self, tracer, started: float | None) -> None:
+        """The plan's exit half: ``exit_pre``, the pop of the callee
+        context, ``exit_post``, ``exit_hook``, ``exit_tail`` and the
+        exit counters, then the observers — the edge-latency sample
+        (unless ``started`` is None) and the end of ``tracer``'s span.
+        """
+        plan = self._plan
+        cpu = self._cpu
+        if plan.push:
+            pre = plan.exit_pre
+            post = plan.exit_post
+            if cpu.charging:
                 pending = cpu._pending_ns
                 clock = cpu._clock_ns + pending
-                for ns in tail:
+                for ns in pre:
+                    clock += ns
+                for ns in post:
                     clock += ns
                 cpu._clock_ns = clock
                 cpu._pending_ns = 0.0
                 if cpu.attribute_time:
-                    cpu._attribute(pending, tail)
-            for name in plan.bumps:
-                counters[name] = counters.get(name, 0.0) + 1.0
-            if latency is not None:
-                self._metrics.histogram(latency).observe(cpu.clock_ns - started)
-            if tracer is not None:
-                tracer.end()
+                    cpu._attribute(pending, pre)
+                    ctx = cpu._contexts.pop()
+                    cpu._attribute(0.0, post)
+                else:
+                    ctx = cpu._contexts.pop()
+            else:
+                ctx = cpu.pop_context()
+            if self._ctx_pool is None:
+                self._ctx_pool = ctx
+        if plan.exit_hook is not None:
+            plan.exit_hook()
+        if plan.wrpkru and plan.tracer is not None:
+            # The plan's current tracer: a handler may have toggled it,
+            # and the exit's PKRU write is traced when it happens.
+            plan.tracer.wrpkru(cpu._contexts[-1].pkru)
+        tail = plan.exit_tail
+        if tail and cpu.charging:
+            pending = cpu._pending_ns
+            clock = cpu._clock_ns + pending
+            for ns in tail:
+                clock += ns
+            cpu._clock_ns = clock
+            cpu._pending_ns = 0.0
+            if cpu.attribute_time:
+                cpu._attribute(pending, tail)
+        counters = self._counters
+        for name in plan.bumps:
+            counters[name] = counters.get(name, 0.0) + 1.0
+        if started is not None:
+            self._metrics.histogram(self._latency_name).observe(
+                cpu.clock_ns - started
+            )
+        if tracer is not None:
+            tracer.end()
 
     def _run_batch(
-        self, plan: CrossingPlan, entries: list, ops: list[tuple[int, str, tuple]]
+        self, entries: list, ops: list[tuple[int, str, tuple]]
     ) -> list[Completion]:
         """A doorbell crossing's body: every op, inside the callee."""
         injector = self.machine.injector
-        op_hook = plan.op_hook
+        op_hook = self._plan.op_hook
         completions: list[Completion] = []
         failure: BaseException | None = None
         for (ticket, fn, args), entry in zip(ops, entries):
@@ -825,92 +738,47 @@ class Gate(Channel):
         """
         if not ops:
             return []
-        plan = self._plan
-        if plan is not None:
-            get = plan.entries.get
-            entries = []
-            for _, fn, _ in ops:
-                entry = get(fn)
-                if entry is None or entry.blocking:
-                    entries = None
-                    break
-                entries.append(entry)
-            if entries is not None:
-                # The doorbell payload is one word: the ring tail index.
-                return self._invoke_fast(entries[0], (len(ops),), (entries, ops))
-        handlers = [self._lookup(fn, blocking=False) for _, fn, _ in ops]
-        self._caller_side(ops[0][1])
-        self._check_available()
-        self._record_crossing()
-        started = self._latency_start()
-        traced = self._trace_begin(f"batch[{len(ops)}]")
-        completions: list[Completion] = []
+        entries = [self._lookup(fn, blocking=False) for _, fn, _ in ops]
         # The doorbell payload is one word: the ring tail index.
-        self._enter(ops[0][1], (len(ops),))
+        tracer, started = self._plan_enter(
+            entries[0], (len(ops),), f"{self._span_prefix}batch[{len(ops)}]"
+        )
         try:
-            failure: BaseException | None = None
-            for (ticket, fn, args), handler in zip(ops, handlers):
-                if failure is not None:
-                    completions.append(Completion(ticket, fn, error=failure))
-                    continue
-                try:
-                    self._per_op_enter(fn, args)
-                    self._inject(fn)
-                    completions.append(
-                        Completion(ticket, fn, value=handler(*args))
-                    )
-                except CONTAINABLE_FAULTS as exc:
-                    failure = self._contain(exc)
-                    if failure is None:
-                        raise
-                    completions.append(Completion(ticket, fn, error=failure))
-                except Exception as exc:
-                    completions.append(Completion(ticket, fn, error=exc))
+            return self._run_batch(entries, ops)
         finally:
-            self._exit()
-            self._latency_end(started)
-            if traced is not None:
-                self._tracer.end()
-        return completions
+            self._plan_exit(tracer, started)
 
     def invoke(self, fn: str, args: tuple) -> Any:
-        plan = self._plan
-        if plan is not None:
-            entry = plan.entries.get(fn)
-            if entry is not None and not entry.blocking:
-                return self._invoke_fast(entry, args)
-        handler = self._lookup(fn, blocking=False)
-        self._caller_side(fn)
-        self._check_available()
-        self._record_crossing()
-        started = self._latency_start()
-        traced = self._trace_begin(fn)
-        self._enter(fn, args)
+        entry = self._plan.entries.get(fn)
+        if entry is None or entry.blocking:
+            self._lookup(fn, blocking=False)  # raises the enforcement error
+        tracer, started = self._plan_enter(entry, args, entry.span)
         try:
-            self._inject(fn)
-            return handler(*args)
+            injector = self.machine.injector
+            if injector is not None:
+                injector.on_crossing(self, fn)
+            return entry.handler(*args)
         except CONTAINABLE_FAULTS as exc:
             failure = self._contain(exc)
             if failure is None:
                 raise
             raise failure from exc
         finally:
-            self._exit()
-            self._latency_end(started)
-            if traced is not None:
-                self._tracer.end()
+            self._plan_exit(tracer, started)
 
     def invoke_gen(self, fn: str, args: tuple) -> Generator:
-        handler = self._lookup(fn, blocking=True)
-        self._caller_side(fn)
-        self._check_available()
-        self._record_crossing()
-        started = self._latency_start()
-        traced = self._trace_begin(fn)
-        self._enter(fn, args)
+        entry = self._lookup(fn, blocking=True)
+        tracer, started = self._plan_enter(entry, args, entry.span)
+        if tracer is not None:
+            # Spans ride the calling thread's track; a thread destroyed
+            # while parked in the callee closes its span on this track
+            # after the tracer has moved on to another.
+            track = tracer.current_track
         try:
-            self._inject(fn)
-            result = yield from handler(*args)
+            injector = self.machine.injector
+            if injector is not None:
+                injector.on_crossing(self, fn)
+            result = yield from entry.handler(*args)
         except GeneratorExit:
             # The thread was destroyed while parked inside the callee:
             # its entire saved protection-context stack (including the
@@ -918,29 +786,23 @@ class Gate(Channel):
             # is nothing to restore on the live CPU — but the trace
             # span must still be closed on the track it was opened on,
             # or exports carry a dangling span for the dead thread.
-            if traced is not None:
-                self._tracer.end(track=traced)
+            if tracer is not None:
+                tracer.end(track=track)
             raise
         except CONTAINABLE_FAULTS as exc:
-            self._exit()
-            if traced is not None:
-                self._tracer.end()
+            # Unwinding: leave the callee's domain before containing.
+            self._plan_exit(tracer, None)
             failure = self._contain(exc)
             if failure is None:
                 raise
             raise failure from exc
         except BaseException:
-            self._exit()
-            if traced is not None:
-                self._tracer.end()
+            self._plan_exit(tracer, None)
             raise
-        self._exit()
         # Blocking crossings include time spent suspended inside the
         # callee; only completed crossings are sampled (a thread
         # destroyed mid-call or an unwinding fault records nothing).
-        self._latency_end(started)
-        if traced is not None:
-            self._tracer.end()
+        self._plan_exit(tracer, started)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -21,11 +21,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gates.base import Gate, GateOptions
-from repro.machine.capabilities import base_capabilities
 from repro.machine.faults import GateError
 
 if TYPE_CHECKING:
-    from repro.libos.compartment import Compartment
     from repro.libos.library import MicroLibrary
     from repro.machine.machine import Machine
 
@@ -44,8 +42,7 @@ class CHERIGate(Gate):
         options: GateOptions | None = None,
     ) -> None:
         super().__init__(machine, caller_lib, callee_lib, options)
-        self.callee_comp: "Compartment" = callee_lib.compartment
-        if self.callee_comp.capabilities is None:
+        if callee_lib.compartment.capabilities is None:
             raise GateError(
                 f"CHERIGate to {callee_lib.NAME}: compartment has no "
                 f"capability set (build with backend='cheri')"
@@ -76,40 +73,10 @@ class CHERIGate(Gate):
             capabilities.grant(addr, size)
             counters["cap_grants"] = counters.get("cap_grants", 0.0) + 1.0
 
-    def _enter(self, fn: str, args: tuple) -> None:
-        cpu = self.machine.cpu
-        cpu.charge(self.machine.cost.cheri_crossing_ns)
-        capabilities = self.callee_comp.capabilities.derive()
-        self._grant(self.callee_lib.CAP_GRANTS.get(fn, ()), args, capabilities)
-        context = self.callee_comp.make_context(
-            label=f"cap:{self.callee_lib.NAME}.{fn}"
-        )
-        context.capabilities = capabilities
-        cpu.push_context(context)
-
-    def _per_op_enter(self, fn: str, args: tuple) -> None:
-        """Install one batched op's delegations on the live context.
-
-        A batched crossing (queue channel doorbell) enters the callee
-        domain once with no per-call pointers; each drained submission
-        then delegates its own bounded capabilities here.  Grants
-        accumulate over the batch and are revoked together when the
-        batch context pops — the price of amortising the crossing is a
-        batch-wide (rather than per-call) revocation epoch.
-        """
-        self._grant(
-            self.callee_lib.CAP_GRANTS.get(fn, ()),
-            args,
-            self.machine.cpu.current.capabilities,
-        )
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        # Popping the context revokes every delegated capability.
-        cpu.pop_context()
-        cpu.charge(self.machine.cost.cheri_crossing_ns + self.machine.cost.ret_ns)
-
     def _compile_plan(self, plan) -> None:
+        # Entry: the sealed invocation, then the callee context with
+        # capabilities derived for this call.  Exit: popping that
+        # context revokes every delegated capability, then the return.
         # Grant specs are class-level static metadata: stash them on
         # the plan entries so the hooks never re-read the class dict.
         cost = self.machine.cost
@@ -129,6 +96,15 @@ class CHERIGate(Gate):
         return capabilities
 
     def _plan_grant(self, entry, args: tuple) -> None:
-        """Plan per-op hook: one batched op's delegations."""
+        """Plan per-op hook: one batched op's delegations.
+
+        A batched crossing (queue channel doorbell) enters the callee
+        domain once with no per-call pointers; each drained submission
+        then delegates its own bounded capabilities on the live
+        context.  Grants accumulate over the batch and are revoked
+        together when the batch context pops — the price of amortising
+        the crossing is a batch-wide (rather than per-call) revocation
+        epoch.
+        """
         if entry.extra:
             self._grant(entry.extra, args, self.machine.cpu.current.capabilities)

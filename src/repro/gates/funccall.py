@@ -15,14 +15,7 @@ not of the calling thread.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.gates.base import Gate, GateOptions
-
-if TYPE_CHECKING:
-    from repro.libos.compartment import Compartment
-    from repro.libos.library import MicroLibrary
-    from repro.machine.machine import Machine
+from repro.gates.base import Gate
 
 
 class DirectChannel(Gate):
@@ -34,10 +27,8 @@ class DirectChannel(Gate):
     IS_BOUNDARY = False
     EXTRA_COUNTER = "direct_calls"
 
-    def _exit(self) -> None:
-        self.machine.cpu.charge(self.machine.cost.ret_ns)
-
     def _compile_plan(self, plan) -> None:
+        # The caller's context stays: only the return is charged.
         plan.push = False
         plan.exit_tail = (self._ret_ns,)
 
@@ -57,24 +48,7 @@ class ProfileChannel(Gate):
     #: historical ``direct_calls`` counter for its call cost class.
     EXTRA_COUNTER = "direct_calls"
 
-    def __init__(
-        self,
-        machine: "Machine",
-        caller_lib: "MicroLibrary",
-        callee_lib: "MicroLibrary",
-        options: GateOptions | None = None,
-    ) -> None:
-        super().__init__(machine, caller_lib, callee_lib, options)
-        self.callee_comp: "Compartment" = callee_lib.compartment
-
-    def _enter(self, fn: str, args: tuple) -> None:
-        self.machine.cpu.push_context(
-            self.callee_comp.make_context(label=f"{self.callee_lib.NAME}.{fn}")
-        )
-
-    def _exit(self) -> None:
-        self.machine.cpu.pop_context()
-        self.machine.cpu.charge(self.machine.cost.ret_ns)
-
     def _compile_plan(self, plan) -> None:
+        # The callee compartment's context (carrying its profile) is
+        # pushed and popped; only the return is charged.
         plan.exit_post = (self._ret_ns,)

@@ -11,14 +11,7 @@ surface ERIM accepts).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.gates.base import Gate, GateOptions
-
-if TYPE_CHECKING:
-    from repro.libos.compartment import Compartment
-    from repro.libos.library import MicroLibrary
-    from repro.machine.machine import Machine
+from repro.gates.base import Gate
 
 
 class MPKSharedStackGate(Gate):
@@ -27,59 +20,22 @@ class MPKSharedStackGate(Gate):
     KIND = "mpk-shared"
     EXTRA_COUNTER = "mpk_crossings"
 
-    def __init__(
-        self,
-        machine: "Machine",
-        caller_lib: "MicroLibrary",
-        callee_lib: "MicroLibrary",
-        options: GateOptions | None = None,
-    ) -> None:
-        super().__init__(machine, caller_lib, callee_lib, options)
-        self.callee_comp: "Compartment" = callee_lib.compartment
-
-    def _switch_cost(self) -> float:
-        cost = self.machine.cost
-        ns = cost.gate_dispatch_ns
-        if self.options.clear_registers:
-            ns += cost.reg_clear_ns
-        return ns
-
-    def _enter(self, fn: str, args: tuple) -> None:
-        cpu = self.machine.cpu
-        cpu.charge(self._switch_cost())
-        # Enter the callee's domain: push its context carrying the
-        # caller's PKRU, then perform the (sealed) WRPKRU — gates are
-        # the only code authorised to issue it.
-        context = self.callee_comp.make_context(
-            label=f"{self.callee_lib.NAME}.{fn}"
-        )
-        context.pkru = cpu.current.pkru
-        cpu.push_context(context)
-        cpu.wrpkru(self.callee_comp.pkru_value, cpu.gate_token())
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        cpu.pop_context()
-        cost = self.machine.cost
-        # WRPKRU back to the caller's domain value.
-        cpu.wrpkru(cpu.current.pkru, cpu.gate_token())
-        ns = cost.ret_ns
-        if self.options.clear_registers:
-            ns += cost.reg_clear_ns
-        cpu.charge(ns)
-
     def _compile_plan(self, plan) -> None:
-        # The same sums _enter/_exit compute per call, with cpu.wrpkru
-        # unrolled: its charge, its counter and (the ``wrpkru`` flag)
-        # its trace instant.  The gate holds the token by construction,
-        # so the token check is the only elided step; it touches no
-        # simulated state.  The exit's re-write of the caller's own
-        # PKRU is a semantic no-op.
+        # Entry: the trampoline dispatch (plus register clearing), the
+        # push of the callee context, then the sealed WRPKRU into the
+        # callee's domain — gates are the only code authorised to issue
+        # it, so the gate-token check of cpu.wrpkru always passes and
+        # is left out.  Each WRPKRU is its charge, its counter and (the
+        # ``wrpkru`` flag) its trace instant.  Exit: the pop, the
+        # WRPKRU back to the caller's PKRU (which the caller's context
+        # already holds), then the return (plus register clearing).
         cost = self.machine.cost
+        enter_ns = cost.gate_dispatch_ns
         exit_ns = cost.ret_ns
         if self.options.clear_registers:
+            enter_ns += cost.reg_clear_ns
             exit_ns += cost.reg_clear_ns
-        plan.enter_pre = (self._switch_cost(),)
+        plan.enter_pre = (enter_ns,)
         plan.enter_post = (cost.wrpkru_ns,)
         plan.exit_post = (cost.wrpkru_ns,)
         plan.exit_tail = (exit_ns,)

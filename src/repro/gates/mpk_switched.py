@@ -39,34 +39,10 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
         self._copy_hist = machine.cpu.metrics.histogram("gate.arg_copy_bytes")
         super().__init__(machine, caller_lib, callee_lib, options)
 
-    def _enter(self, fn: str, args: tuple) -> None:
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        # Stack switch plus copying each parameter word to the target
-        # compartment's stack.
-        arg_bytes = max(1, len(args)) * self.options.word_bytes
-        self._copy_hist.observe(arg_bytes)
-        cpu.charge(
-            cost.stack_switch_ns
-            + cost.mem_op_ns
-            + arg_bytes * cost.mem_byte_ns * 2  # read caller stack, write callee
-        )
-        cpu.bump("stack_switches")
-        super()._enter(fn, args)
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        # Switch back and copy the return value to the caller's stack.
-        cpu.charge(
-            cost.stack_switch_ns
-            + cost.mem_op_ns
-            + self.options.word_bytes * cost.mem_byte_ns * 2
-        )
-        cpu.bump("stack_switches")
-        super()._exit()
-
     def _compile_plan(self, plan) -> None:
+        # The MPK crossing, plus a stack switch on each side: on entry
+        # with the parameter copy (``_copy_row``), on exit with the
+        # copy of the return value back to the caller's stack.
         super()._compile_plan(plan)
         cost = self.machine.cost
         plan.copies = {}
@@ -80,8 +56,11 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
 
     def _copy_row(self, nargs: int) -> tuple:
         """``plan.copies`` row: the copy-size sample and the entry
-        charges (_enter's stack switch and copy, then the MPK entry)."""
+        charges (the stack switch and parameter copy, then the MPK
+        entry)."""
         cost = self.machine.cost
+        # Each parameter word is read from the caller's stack and
+        # written to the callee's.
         arg_bytes = max(1, nargs) * self.options.word_bytes
         copy_ns = (
             cost.stack_switch_ns + cost.mem_op_ns + arg_bytes * cost.mem_byte_ns * 2

@@ -99,22 +99,11 @@ class VMRPCGate(Gate):
                 * self.options.rpc_backoff_factor ** (attempts - 1)
             )
 
-    def _enter(self, fn: str, args: tuple) -> None:
-        arg_bytes = max(1, len(args)) * self.options.word_bytes
-        self._notify(arg_bytes)
-        self.machine.cpu.push_context(
-            self.callee_comp.make_context(label=f"rpc:{self.callee_lib.NAME}.{fn}")
-        )
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        cpu.pop_context()
-        self._notify(self.options.word_bytes)
-        cpu.charge(cost.ret_ns)
-
     def _compile_plan(self, plan) -> None:
-        # The notifications, with their retry/duplicate machinery, stay
+        # Entry: the call notification carrying the argument words,
+        # then the callee context.  Exit: the pop, the return
+        # notification carrying one word, then the return.  The
+        # notifications, with their retry/duplicate machinery, are
         # _notify, called from the plan's hooks.
         plan.enter_hook = self._plan_call
         plan.exit_hook = self._plan_return

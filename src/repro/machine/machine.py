@@ -45,7 +45,6 @@ class Machine:
         cost: CostModel | None = None,
         phys_bytes: int = 64 * 1024 * 1024,
         fastpath: bool | None = None,
-        gateplan: bool | None = None,
     ) -> None:
         self.phys = PhysicalMemory(phys_bytes)
         self.cpu = CPU(cost)
@@ -65,23 +64,12 @@ class Machine:
         #: ``cpu.snapshot()`` bit-identical across the toggle.
         self.tlb_hits = 0
         self.tlb_misses = 0
-        #: Crossing-plan fast path for gate invokes.  Channels compile a
-        #: per-edge :class:`~repro.gates.base.CrossingPlan` at
-        #: construction (handlers, precomputed charge sums, context
-        #: labels, span names) and take its specialized invoke path,
-        #: observed or not (observers are plan hooks).  ``gateplan=False
-        #: (or env ``REPRO_GATEPLAN=0``) forces the original per-call
-        #: derivation — the reference ``bench_fastpath.py --check``
-        #: compares against.  Both paths issue the identical charge and
-        #: counter sequence, so simulated observables are bit-identical.
-        if gateplan is None:
-            gateplan = os.environ.get("REPRO_GATEPLAN", "1") != "0"
-        self.gateplan_enabled = bool(gateplan)
         #: Observability: span tracer (disabled by default) + metrics
         #: registry (shared with the CPU).  See :mod:`repro.obs`.
-        #: Crossing plans register in ``obs.plans``; their ``hits`` and
-        #: ``refreshes`` are host-side telemetry only (same bit-identity
-        #: rationale as the TLB counters above).
+        #: Every channel's :class:`~repro.gates.base.CrossingPlan` (the
+        #: one description of its crossing) registers in ``obs.plans``;
+        #: their ``hits`` and ``refreshes`` are host-side telemetry only
+        #: (kept out of the registry like the TLB counters above).
         self.obs = Observability(self.cpu)
         self.spaces: dict[str, AddressSpace] = {}
         self.vm_domains: dict[str, VMDomain] = {}
@@ -410,7 +398,6 @@ class Machine:
                 space.tlb_invalidations for space in self.spaces.values()
             ),
             "gateplan": {
-                "enabled": self.gateplan_enabled,
                 "plans": len(self.obs.plans),
                 "plan_hits": sum(plan.hits for plan in self.obs.plans),
                 "plan_refreshes": sum(

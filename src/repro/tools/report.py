@@ -46,8 +46,8 @@ def machine_telemetry(images) -> dict:
 
     A cluster run has one :class:`~repro.machine.machine.Machine` per
     shard (plus followers); summing a single ``fastpath_stats()`` would
-    silently drop every machine but one.  Counters are summed,
-    ``enabled`` flags are AND-ed (one disabled machine disables the
+    silently drop every machine but one.  Counters are summed, the
+    ``enabled`` flag is AND-ed (one disabled machine disables the
     claim), and the machine count is reported so readers can tell a
     cluster report from a single-machine one.
     """
@@ -58,7 +58,6 @@ def machine_telemetry(images) -> dict:
         "tlb_misses": 0,
         "tlb_invalidations": 0,
         "gateplan": {
-            "enabled": True,
             "plans": 0,
             "plan_hits": 0,
             "plan_refreshes": 0,
@@ -73,9 +72,6 @@ def machine_telemetry(images) -> dict:
         for key in ("tlb_hits", "tlb_misses", "tlb_invalidations"):
             total[key] += stats[key]
         gateplan = stats.get("gateplan") or {}
-        total["gateplan"]["enabled"] = (
-            total["gateplan"]["enabled"] and gateplan.get("enabled", True)
-        )
         for key in ("plans", "plan_hits", "plan_refreshes"):
             total["gateplan"][key] += gateplan.get(key, 0)
         total["wheel_cascades"] += getattr(
@@ -368,10 +364,6 @@ def render_text(
                 f"{gateplan['plan_hits']} hits, "
                 f"{gateplan['plan_refreshes']} refreshes"
             )
-            if not gateplan["enabled"]:
-                lines.append(
-                    "  crossing plans DISABLED (REPRO_GATEPLAN=0)"
-                )
         if "wheel_cascades" in machine:
             lines.append(
                 f"  timer wheel: {machine['wheel_cascades']} cascades"

@@ -23,9 +23,11 @@ def test_machine_telemetry_sums_across_all_machines():
     singles = [image.machine.fastpath_stats() for image in images]
     for key in ("tlb_hits", "tlb_misses", "tlb_invalidations"):
         assert aggregated[key] == sum(stats[key] for stats in singles)
-    assert aggregated["gateplan"]["plan_hits"] == sum(
-        stats["gateplan"]["plan_hits"] for stats in singles
-    )
+    for key in ("plans", "plan_hits", "plan_refreshes"):
+        assert aggregated["gateplan"][key] == sum(
+            stats["gateplan"][key] for stats in singles
+        )
+    assert set(aggregated["gateplan"]) == {"plans", "plan_hits", "plan_refreshes"}
     # Multiple machines did real work: a singleton snapshot would
     # undercount (this is the regression the aggregation fixes).
     busiest = max(stats["tlb_hits"] for stats in singles)
