@@ -39,6 +39,7 @@ from repro.machine.faults import (
     CONTAINABLE_FAULTS,
     CompartmentFailure,
     GateError,
+    RPCTimeout,
 )
 
 if TYPE_CHECKING:
@@ -663,7 +664,15 @@ class Gate(Channel):
             if self._ctx_pool is None:
                 self._ctx_pool = ctx
         if plan.exit_hook is not None:
-            plan.exit_hook()
+            try:
+                plan.exit_hook()
+            except BaseException:
+                # The return notification failed (VM-RPC ``RPCTimeout``):
+                # close the span; like a faulting blocking crossing, the
+                # crossing records no latency sample.
+                if tracer is not None:
+                    tracer.end()
+                raise
         if plan.wrpkru and plan.tracer is not None:
             # The plan's current tracer: a handler may have toggled it,
             # and the exit's PKRU write is traced when it happens.
@@ -734,7 +743,10 @@ class Gate(Channel):
         at the point of the crash.  Under the ``propagate`` policy the
         raw fault is raised instead (whole-image crash, as sync invoke
         would).  Ordinary (non-fault) exceptions fail only their own
-        op, as N separate sync calls would.
+        op, as N separate sync calls would.  A return notification that
+        times out (VM-RPC ``RPCTimeout``) fails after every op ran, so
+        it is not raised: each op's completion carries it, as each sync
+        call would have raised it.
         """
         if not ops:
             return []
@@ -744,9 +756,17 @@ class Gate(Channel):
             entries[0], (len(ops),), f"{self._span_prefix}batch[{len(ops)}]"
         )
         try:
-            return self._run_batch(entries, ops)
-        finally:
+            completions = self._run_batch(entries, ops)
+        except BaseException:
             self._plan_exit(tracer, started)
+            raise
+        try:
+            self._plan_exit(tracer, started)
+        except RPCTimeout as exc:
+            # Every op already ran; only the way back failed.  Each op
+            # gets the timeout its sync invoke would have raised.
+            return [Completion(c.ticket, c.fn, error=exc) for c in completions]
+        return completions
 
     def invoke(self, fn: str, args: tuple) -> Any:
         entry = self._plan.entries.get(fn)

@@ -172,7 +172,16 @@ class QueueChannel(Channel):
         return ticket
 
     def flush(self) -> int:
-        """Ring the doorbell: one crossing executes the whole batch."""
+        """Ring the doorbell: one crossing executes the whole batch.
+
+        The batch is re-queued only when the doorbell raises: the call
+        notification failed before the callee ran, or a fault under the
+        ``propagate`` policy crashed the whole image.  A failure after
+        the callee ran every op (the return notification timing out) is
+        not raised but arrives as each op's completion error
+        (:meth:`Gate.invoke_batch`), so a retried flush never runs those
+        ops again.
+        """
         if not self._pending:
             return 0
         ops = self._pending
@@ -185,9 +194,8 @@ class QueueChannel(Channel):
         try:
             completions = self.inner.invoke_batch(ops)
         except BaseException:
-            # The doorbell itself failed (RPC timeout, propagate-policy
-            # fault): nothing executed, so the batch stays pending and
-            # a retry is legitimate.
+            # The doorbell itself failed: the batch stays pending and a
+            # retry is legitimate.
             self._pending = ops + self._pending
             self._oldest_ns = self.machine.cpu.clock_ns
             raise

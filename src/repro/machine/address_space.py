@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterator
 
 from repro.machine.faults import OutOfMemoryError, PageFault
 from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory, page_align_up
@@ -67,8 +66,9 @@ class AddressSpace:
         self._next_va = base
         self._limit = limit
         #: Software TLB: ``(vpn, op, pkru) → frame`` for accesses whose
-        #: permission + PKRU checks already passed.  The machine fast
-        #: path consults it to skip the page walk (see
+        #: permission + PKRU checks already passed (``pkru`` is -1 for
+        #: capability contexts, which skip the PKRU check).  Every
+        #: load/store consults it to skip the page-table lookup (see
         #: :meth:`repro.machine.machine.Machine.load`).  Keying on the
         #: PKRU value means a WRPKRU or context switch needs no explicit
         #: shootdown — a different PKRU simply misses.  Any page-table
@@ -82,7 +82,7 @@ class AddressSpace:
         #: passed their checks *and* whose frames are physically
         #: contiguous (the common case — ``map_new`` allocates frames
         #: sequentially).  A hit turns a bulk access into one slice
-        #: instead of a per-page walk; runs that are not contiguous
+        #: instead of per-page lookups; runs that are not contiguous
         #: simply never enter the cache and keep taking the per-page
         #: path.
         self._range_cache: dict[tuple[int, int, str, int], int] = {}
@@ -228,22 +228,6 @@ class AddressSpace:
         """Translate a virtual address to a physical address."""
         entry = self.entry(vaddr)
         return (entry.frame << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
-
-    def iter_range(self, vaddr: int, size: int) -> Iterator[tuple[int, int, PageEntry]]:
-        """Yield (chunk_vaddr, chunk_size, entry) covering [vaddr, vaddr+size).
-
-        Splits the range at page boundaries so callers can check each
-        page's permissions and perform contiguous physical copies.
-        """
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        offset = vaddr
-        end = vaddr + size
-        while offset < end:
-            page_end = ((offset >> PAGE_SHIFT) + 1) << PAGE_SHIFT
-            chunk = min(end, page_end) - offset
-            yield offset, chunk, self.entry(offset)
-            offset += chunk
 
     def is_mapped(self, vaddr: int) -> bool:
         """True if the page containing ``vaddr`` is mapped."""

@@ -84,7 +84,7 @@ class CPU:
         self._clock_ns: float = 0.0
         self.charging: bool = True
         self._contexts: list[Context] = []
-        # Deferred accounting (the machine fast path): memory ops
+        # Deferred accounting (the machine's load/store path): memory ops
         # accumulate their clock and counter deltas into these plain
         # attributes instead of going through charge()/bump() per op.
         # The pending clock is folded in by every charge (which adds
@@ -296,8 +296,7 @@ class CPU:
         Accumulates the clock delta and the loads/stores counters into
         the pending accumulators instead of the registry; they are
         folded in by :meth:`flush_accounting` at the next observation
-        point.  Both the machine's fast and slow access paths use this,
-        so the fastpath toggle cannot change any accounted value.
+        point.
         """
         if self.charging:
             self._pending_ns += ns

@@ -7,13 +7,21 @@ pipeline of the paper's testbed):
    load/store factor);
 2. run the domain's software-hardening monitors (ASAN shadow checks,
    DFI write-set checks) — these may raise :class:`SHViolation`;
-3. translate through the current context's address space — unmapped
+3. a capability (CHERI) context checks the access against its
+   capability bounds — on every access, before translation;
+4. translate through the current context's address space — unmapped
    pages raise :class:`PageFault` (this is the whole of EPT isolation:
    a foreign VM's private pages simply are not mapped);
-4. check page permissions;
-5. check the page's protection key against the context's PKRU — a
+5. check page permissions;
+6. check the page's protection key against the context's PKRU — a
    mismatch raises :class:`ProtectionFault` (MPK isolation);
-6. move the bytes.
+   capability contexts skip this check;
+7. move the bytes.
+
+Steps 4–6 run once per page and operation: the translation they earn
+is cached in the address space's software TLB, keyed by the context's
+PKRU value (:data:`CAP_TLB_KEY` for capability contexts), and later
+accesses skip them.
 
 Device DMA (:meth:`Machine.dma_read` / :meth:`Machine.dma_write`)
 bypasses PKRU — as on real hardware, where MPK does not constrain
@@ -23,7 +31,7 @@ harness play the role of the external traffic generator.
 
 from __future__ import annotations
 
-import os
+from typing import Iterator
 
 from repro.machine.address_space import AddressSpace, Permissions
 from repro.machine.cpu import CPU, Context
@@ -35,6 +43,10 @@ from repro.machine.mpk import pkru_readable, pkru_writable
 from repro.obs import Observability
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
+#: Software-TLB key of a capability context's fills, which skip the
+#: PKRU check: PKRU values are non-negative, so no PKRU context can hit
+#: them.
+CAP_TLB_KEY = -1
 
 
 class Machine:
@@ -44,24 +56,13 @@ class Machine:
         self,
         cost: CostModel | None = None,
         phys_bytes: int = 64 * 1024 * 1024,
-        fastpath: bool | None = None,
     ) -> None:
         self.phys = PhysicalMemory(phys_bytes)
         self.cpu = CPU(cost)
-        #: Software-TLB fast path for load/store/DMA.  On by default;
-        #: ``fastpath=False`` (or env ``REPRO_FASTPATH=0``) forces the
-        #: original page-walk on every access — the reference the
-        #: differential tests and ``bench_machine.py --check`` compare
-        #: against.  The toggle only controls translation caching;
-        #: charging and counters take the same code path either way,
-        #: so every simulated observable is bit-identical.
-        if fastpath is None:
-            fastpath = os.environ.get("REPRO_FASTPATH", "1") != "0"
-        self.fastpath_enabled = bool(fastpath)
         #: Software-TLB telemetry.  Deliberately *not* registry
-        #: counters: hit/miss counts differ between fast and slow runs
-        #: by construction, and keeping them out of the registry keeps
-        #: ``cpu.snapshot()`` bit-identical across the toggle.
+        #: counters: they count host-side caching, not anything
+        #: simulated, so ``cpu.snapshot()`` holds simulated quantities
+        #: only.
         self.tlb_hits = 0
         self.tlb_misses = 0
         #: Observability: span tracer (disabled by default) + metrics
@@ -120,15 +121,17 @@ class Machine:
     # --- checked access -----------------------------------------------------
 
     def _tlb_fill(
-        self, space: AddressSpace, context: Context, vaddr: int, op: str
+        self, space: AddressSpace, context: Context, vaddr: int, op: str, key: int
     ) -> int:
-        """Software-TLB miss: full page walk + checks, then cache.
+        """Software-TLB miss: page-table lookup + checks, then cache.
 
-        Performs exactly the checks — and raises exactly the faults —
-        the slow path performs for one page, then records the earned
-        translation under ``(vpn, op, pkru)``.  Only reached for
-        non-capability contexts (capability checks are per-access
-        bounds, not per-page rights, so they can never be cached).
+        Checks the page's mapping and permissions and, unless ``key`` is
+        :data:`CAP_TLB_KEY`, its protection key against the PKRU value
+        ``key``; then records the earned translation under ``(vpn, op,
+        key)``.  A capability context's bounds were already checked
+        for the whole access, and a capability context is not subject
+        to PKRU, so its fills skip that check and live under a key no
+        PKRU value can take.
         """
         vpn = vaddr >> PAGE_SHIFT
         entry = space._pages.get(vpn)
@@ -137,16 +140,57 @@ class Machine:
         if op == "read":
             if not entry.perms & Permissions.READ:
                 raise PageFault(vaddr, "read", "page not readable")
-            if not pkru_readable(context.pkru, entry.pkey):
+            if key != CAP_TLB_KEY and not pkru_readable(key, entry.pkey):
                 raise ProtectionFault(vaddr, "read", entry.pkey, context.label)
         else:
             if not entry.perms & Permissions.WRITE:
                 raise PageFault(vaddr, "write", "page not writable")
-            if not pkru_writable(context.pkru, entry.pkey):
+            if key != CAP_TLB_KEY and not pkru_writable(key, entry.pkey):
                 raise ProtectionFault(vaddr, "write", entry.pkey, context.label)
         self.tlb_misses += 1
-        space._access_cache[(vpn, op, context.pkru)] = entry.frame
+        space._access_cache[(vpn, op, key)] = entry.frame
         return entry.frame
+
+    def _run(
+        self,
+        space: AddressSpace,
+        context: Context,
+        vaddr: int,
+        size: int,
+        range_key: tuple[int, int, str, int],
+    ) -> Iterator[tuple[int, int, int]]:
+        """Range-cache miss: yield ``(paddr, offset, length)`` for each
+        page of the multi-page access ``range_key`` (``(vpn, npages, op,
+        key)``), translating each page only when asked for it.
+
+        Pages are translated in order, so a store that faults mid-run
+        has written exactly the pages before the fault.  A run whose
+        pages all passed and whose frames are physically contiguous
+        enters the range cache.
+        """
+        _, _, op, key = range_key
+        cache = space._access_cache
+        first_frame = None
+        next_frame = None
+        offset = 0
+        while offset < size:
+            va = vaddr + offset
+            vpn = va >> PAGE_SHIFT
+            chunk = min(size - offset, ((vpn + 1) << PAGE_SHIFT) - va)
+            frame = cache.get((vpn, op, key))
+            if frame is None:
+                frame = self._tlb_fill(space, context, va, op, key)
+            else:
+                self.tlb_hits += 1
+            if first_frame is None:
+                first_frame = frame
+            elif frame != next_frame:
+                first_frame = -1  # run is not physically contiguous
+            next_frame = frame + 1
+            yield (frame << PAGE_SHIFT) | (va & _PAGE_MASK), offset, chunk
+            offset += chunk
+        if first_frame >= 0:
+            space._range_cache[range_key] = first_frame << PAGE_SHIFT
 
     def load(self, vaddr: int, size: int) -> bytes:
         """Checked read of ``size`` bytes by the current context."""
@@ -161,73 +205,45 @@ class Machine:
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "load", vaddr, size)
-        if context.capabilities is not None:
+        if context.capabilities is None:
+            key = context.pkru
+        else:
             cpu.charge(cpu.cost.cheri_check_ns)
             context.capabilities.check(vaddr, size, "load")
-        elif self.fastpath_enabled and size > 0:
-            space = context.address_space
-            cache = space._access_cache
-            vpn = vaddr >> PAGE_SHIFT
-            if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
-                # Hot case: the access fits one page — one dict probe,
-                # one slice.
-                frame = cache.get((vpn, "read", context.pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, vaddr, "read")
-                else:
-                    self.tlb_hits += 1
-                paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
-                return bytes(self.phys.view[paddr : paddr + size])
-            # Multi-page: try the range cache first — one probe and one
-            # slice when the run was already checked and its frames are
-            # physically contiguous.
-            pkru = context.pkru
-            last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
-            npages = last_vpn - vpn + 1
-            range_key = (vpn, npages, "read", pkru)
-            base_paddr = space._range_cache.get(range_key)
-            view = self.phys.view
-            if base_paddr is not None:
+            key = CAP_TLB_KEY
+        if size <= 0:
+            if size < 0:
+                raise ValueError("size must be non-negative")
+            return b""
+        space = context.address_space
+        view = self.phys.view
+        vpn = vaddr >> PAGE_SHIFT
+        last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
+        if last_vpn == vpn:
+            # Hot case: the access fits one page — one dict probe, one
+            # slice.
+            frame = space._access_cache.get((vpn, "read", key))
+            if frame is None:
+                frame = self._tlb_fill(space, context, vaddr, "read", key)
+            else:
                 self.tlb_hits += 1
-                paddr = base_paddr | (vaddr & _PAGE_MASK)
-                return bytes(view[paddr : paddr + size])
-            chunks = []
-            offset = vaddr
-            end = vaddr + size
-            first_frame = None
-            next_frame = None
-            while offset < end:
-                vpn = offset >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - offset
-                frame = cache.get((vpn, "read", pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, offset, "read")
-                else:
-                    self.tlb_hits += 1
-                if first_frame is None:
-                    first_frame = frame
-                elif frame != next_frame:
-                    first_frame = -1  # run is not physically contiguous
-                next_frame = frame + 1
-                paddr = (frame << PAGE_SHIFT) | (offset & _PAGE_MASK)
-                chunks.append(view[paddr : paddr + chunk])
-                offset += chunk
-            if first_frame >= 0:
-                space._range_cache[range_key] = first_frame << PAGE_SHIFT
-            return b"".join(chunks)
-        chunks = []
-        for chunk_va, chunk_size, entry in context.address_space.iter_range(
-            vaddr, size
-        ):
-            if not entry.perms & Permissions.READ:
-                raise PageFault(chunk_va, "read", "page not readable")
-            if context.capabilities is None and not pkru_readable(
-                context.pkru, entry.pkey
-            ):
-                raise ProtectionFault(chunk_va, "read", entry.pkey, context.label)
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            chunks.append(self.phys.read(paddr, chunk_size))
-        return b"".join(chunks)
+            paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
+            return bytes(view[paddr : paddr + size])
+        # Multi-page: a range-cache hit is one probe and one slice.
+        range_key = (vpn, last_vpn - vpn + 1, "read", key)
+        base_paddr = space._range_cache.get(range_key)
+        if base_paddr is not None:
+            self.tlb_hits += 1
+            paddr = base_paddr | (vaddr & _PAGE_MASK)
+            return bytes(view[paddr : paddr + size])
+        return b"".join(
+            [
+                view[paddr : paddr + chunk]
+                for paddr, _, chunk in self._run(
+                    space, context, vaddr, size, range_key
+                )
+            ]
+        )
 
     def store(self, vaddr: int, payload: bytes) -> None:
         """Checked write of ``payload`` by the current context."""
@@ -243,77 +259,38 @@ class Machine:
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "store", vaddr, size)
-        if context.capabilities is not None:
+        if context.capabilities is None:
+            key = context.pkru
+        else:
             cpu.charge(cpu.cost.cheri_check_ns)
             context.capabilities.check(vaddr, size, "store")
-        elif self.fastpath_enabled and size > 0:
-            space = context.address_space
-            cache = space._access_cache
-            data = self.phys.data
-            vpn = vaddr >> PAGE_SHIFT
-            if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
-                frame = cache.get((vpn, "write", context.pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, vaddr, "write")
-                else:
-                    self.tlb_hits += 1
-                paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
-                data[paddr : paddr + size] = payload
-                return
-            # Multi-page: a range-cache hit means every page of the run
-            # already passed its checks and the frames are physically
-            # contiguous — the whole store is one slice assignment.
-            pkru = context.pkru
-            last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
-            npages = last_vpn - vpn + 1
-            range_key = (vpn, npages, "write", pkru)
-            base_paddr = space._range_cache.get(range_key)
-            if base_paddr is not None:
-                self.tlb_hits += 1
-                paddr = base_paddr | (vaddr & _PAGE_MASK)
-                data[paddr : paddr + size] = payload
-                return
-            # Miss: check-and-write page by page, in order, so a fault
-            # mid-store leaves exactly the pages before it written —
-            # matching the slow path byte for byte.
-            offset = 0
-            va = vaddr
-            end = vaddr + size
-            first_frame = None
-            next_frame = None
-            while va < end:
-                vpn = va >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-                frame = cache.get((vpn, "write", pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, va, "write")
-                else:
-                    self.tlb_hits += 1
-                if first_frame is None:
-                    first_frame = frame
-                elif frame != next_frame:
-                    first_frame = -1  # run is not physically contiguous
-                next_frame = frame + 1
-                paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-                data[paddr : paddr + chunk] = payload[offset : offset + chunk]
-                offset += chunk
-                va += chunk
-            if first_frame >= 0:
-                space._range_cache[range_key] = first_frame << PAGE_SHIFT
+            key = CAP_TLB_KEY
+        if not size:
             return
-        offset = 0
-        for chunk_va, chunk_size, entry in context.address_space.iter_range(
-            vaddr, size
-        ):
-            if not entry.perms & Permissions.WRITE:
-                raise PageFault(chunk_va, "write", "page not writable")
-            if context.capabilities is None and not pkru_writable(
-                context.pkru, entry.pkey
-            ):
-                raise ProtectionFault(chunk_va, "write", entry.pkey, context.label)
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            self.phys.write(paddr, payload[offset : offset + chunk_size])
-            offset += chunk_size
+        space = context.address_space
+        data = self.phys.data
+        vpn = vaddr >> PAGE_SHIFT
+        last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
+        if last_vpn == vpn:
+            frame = space._access_cache.get((vpn, "write", key))
+            if frame is None:
+                frame = self._tlb_fill(space, context, vaddr, "write", key)
+            else:
+                self.tlb_hits += 1
+            paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
+            data[paddr : paddr + size] = payload
+            return
+        # Multi-page: a range-cache hit means every page of the run
+        # already passed its checks — the whole store is one slice.
+        range_key = (vpn, last_vpn - vpn + 1, "write", key)
+        base_paddr = space._range_cache.get(range_key)
+        if base_paddr is not None:
+            self.tlb_hits += 1
+            paddr = base_paddr | (vaddr & _PAGE_MASK)
+            data[paddr : paddr + size] = payload
+            return
+        for paddr, offset, chunk in self._run(space, context, vaddr, size, range_key):
+            data[paddr : paddr + chunk] = payload[offset : offset + chunk]
 
     def copy(self, dst: int, src: int, size: int) -> None:
         """Checked memory-to-memory copy (one load + one store)."""
@@ -336,62 +313,51 @@ class Machine:
 
     def dma_write(self, space: AddressSpace, vaddr: int, payload: bytes) -> None:
         """Device write: translates via ``space``, bypasses PKRU and cost."""
-        if self.fastpath_enabled:
-            cache = space._frame_cache
-            data = self.phys.data
-            offset = 0
-            va = vaddr
-            end = vaddr + len(payload)
-            while va < end:
-                vpn = va >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-                frame = cache.get(vpn)
-                if frame is None:
-                    frame = self._dma_frame(space, va)
-                paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-                data[paddr : paddr + chunk] = payload[offset : offset + chunk]
-                offset += chunk
-                va += chunk
-            return
+        cache = space._frame_cache
+        data = self.phys.data
         offset = 0
-        for chunk_va, chunk_size, entry in space.iter_range(vaddr, len(payload)):
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            self.phys.write(paddr, payload[offset : offset + chunk_size])
-            offset += chunk_size
+        va = vaddr
+        end = vaddr + len(payload)
+        while va < end:
+            vpn = va >> PAGE_SHIFT
+            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
+            frame = cache.get(vpn)
+            if frame is None:
+                frame = self._dma_frame(space, va)
+            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
+            data[paddr : paddr + chunk] = payload[offset : offset + chunk]
+            offset += chunk
+            va += chunk
 
     def dma_read(self, space: AddressSpace, vaddr: int, size: int) -> bytes:
         """Device read: translates via ``space``, bypasses PKRU and cost."""
-        if self.fastpath_enabled:
-            cache = space._frame_cache
-            view = self.phys.view
-            chunks = []
-            va = vaddr
-            end = vaddr + size
-            while va < end:
-                vpn = va >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-                frame = cache.get(vpn)
-                if frame is None:
-                    frame = self._dma_frame(space, va)
-                paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-                chunks.append(view[paddr : paddr + chunk])
-                va += chunk
-            if len(chunks) == 1:
-                return bytes(chunks[0])
-            return b"".join(chunks)
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        cache = space._frame_cache
+        view = self.phys.view
         chunks = []
-        for chunk_va, chunk_size, entry in space.iter_range(vaddr, size):
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            chunks.append(self.phys.read(paddr, chunk_size))
+        va = vaddr
+        end = vaddr + size
+        while va < end:
+            vpn = va >> PAGE_SHIFT
+            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
+            frame = cache.get(vpn)
+            if frame is None:
+                frame = self._dma_frame(space, va)
+            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
+            chunks.append(view[paddr : paddr + chunk])
+            va += chunk
+        if len(chunks) == 1:
+            return bytes(chunks[0])
         return b"".join(chunks)
 
-    # --- fastpath telemetry -----------------------------------------------
+    # --- telemetry ---------------------------------------------------------
 
     def fastpath_stats(self) -> dict:
-        """Software-TLB telemetry (host-side; never charged, never in
-        the metrics registry — see note in ``__init__``)."""
+        """Software-TLB and crossing-plan telemetry (host-side; never
+        charged, never in the metrics registry — see note in
+        ``__init__``)."""
         return {
-            "enabled": self.fastpath_enabled,
             "tlb_hits": self.tlb_hits,
             "tlb_misses": self.tlb_misses,
             "tlb_invalidations": sum(

@@ -46,14 +46,12 @@ def machine_telemetry(images) -> dict:
 
     A cluster run has one :class:`~repro.machine.machine.Machine` per
     shard (plus followers); summing a single ``fastpath_stats()`` would
-    silently drop every machine but one.  Counters are summed, the
-    ``enabled`` flag is AND-ed (one disabled machine disables the
-    claim), and the machine count is reported so readers can tell a
-    cluster report from a single-machine one.
+    silently drop every machine but one.  Counters are summed, and the
+    machine count is reported so readers can tell a cluster report from
+    a single-machine one.
     """
     total = {
         "machines": 0,
-        "enabled": True,
         "tlb_hits": 0,
         "tlb_misses": 0,
         "tlb_invalidations": 0,
@@ -68,7 +66,6 @@ def machine_telemetry(images) -> dict:
     for image in images:
         stats = image.machine.fastpath_stats()
         total["machines"] += 1
-        total["enabled"] = total["enabled"] and stats["enabled"]
         for key in ("tlb_hits", "tlb_misses", "tlb_invalidations"):
             total[key] += stats[key]
         gateplan = stats.get("gateplan") or {}
@@ -355,8 +352,6 @@ def render_text(
             f"({machine['tlb_hit_rate']:.1%} hit rate), "
             f"{machine['tlb_invalidations']} shootdowns"
         )
-        if not machine["enabled"]:
-            lines.append("  fast path DISABLED (REPRO_FASTPATH=0)")
         gateplan = machine.get("gateplan")
         if gateplan:
             lines.append(

@@ -32,7 +32,6 @@ def test_machine_telemetry_sums_across_all_machines():
     # undercount (this is the regression the aggregation fixes).
     busiest = max(stats["tlb_hits"] for stats in singles)
     assert aggregated["tlb_hits"] > busiest
-    assert aggregated["enabled"] == all(s["enabled"] for s in singles)
     lookups = aggregated["tlb_hits"] + aggregated["tlb_misses"]
     assert aggregated["tlb_hit_rate"] == aggregated["tlb_hits"] / lookups
 
@@ -43,8 +42,8 @@ def test_machine_telemetry_single_machine_keeps_report_shape():
     image = build_image(BuildConfig(libraries=["libc"]))
     stats = machine_telemetry([image])
     assert stats["machines"] == 1
+    assert "enabled" not in stats
     for key in (
-        "enabled",
         "tlb_hits",
         "tlb_hit_rate",
         "gateplan",

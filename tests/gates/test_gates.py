@@ -1,5 +1,7 @@
 """Unit tests for the gate implementations and registry."""
 
+import types
+
 import pytest
 
 from repro.gates import (
@@ -10,9 +12,11 @@ from repro.gates import (
 from repro.gates.mpk_shared import MPKSharedStackGate
 from repro.libos.compartment import Compartment
 from repro.libos.library import Linker, MicroLibrary, export, export_blocking
-from repro.machine.faults import GateError
+from repro.machine.faults import GateError, RPCTimeout
 from repro.machine.machine import Machine
 from repro.machine.mpk import pkru_for_keys
+from repro.resilience import InjectionPlan
+from repro.resilience.injector import FaultInjector
 
 
 class ServiceLibrary(MicroLibrary):
@@ -94,6 +98,28 @@ def test_vm_gate_invokes():
     machine, service, client = make_world("vm")
     gate = make_channel("vm-rpc", machine, client, service)
     assert gate.invoke("double", (5,)) == 10
+
+
+def test_vm_return_timeout_closes_the_gate_span():
+    """A lost return notification raises RPCTimeout after the callee
+    ran; the crossing's span still closes and, like any faulting
+    crossing, it records no latency sample."""
+    machine, service, client = make_world("vm")
+    gate = make_channel("vm-rpc", machine, client, service)
+    machine.obs.tracer.enable()
+    machine.cpu.metrics.record_edge_latency = True
+    # Notification 1 (the call) arrives; 2-5 (the return and all three
+    # resends) are lost.
+    plan = InjectionPlan(seed=1).drop_vm_notify(nth=2, count=4)
+    FaultInjector(plan).attach(types.SimpleNamespace(machine=machine))
+    with pytest.raises(RPCTimeout):
+        gate.invoke("double", (5,))
+    assert machine.obs.tracer.open_spans() == []
+    latency = machine.cpu.metrics.histogram(gate._latency_name)
+    assert latency.values == []
+    assert gate.invoke("double", (5,)) == 10
+    assert machine.obs.tracer.open_spans() == []
+    assert len(latency.values) == 1
 
 
 def test_vm_gate_requires_vm_domain():

@@ -25,10 +25,13 @@ from repro.machine.faults import (
     CompartmentFailure,
     GateError,
     ProtectionFault,
+    RPCTimeout,
 )
 from repro.machine.machine import Machine
 from repro.machine.mpk import pkru_for_keys
 from repro.obs.profile import WorkloadProfile
+from repro.resilience import InjectionPlan
+from repro.resilience.injector import FaultInjector
 
 
 class RecorderLibrary(MicroLibrary):
@@ -178,6 +181,41 @@ def test_propagate_policy_raises_and_restores_batch():
     # The doorbell failed wholesale: the batch is still pending, so a
     # caller with a retry policy can flush again.
     assert channel.pending == 2
+
+
+def test_return_timeout_never_reruns_the_batch():
+    """A doorbell whose return notification is lost for good has run
+    every op: the timeout lands in each completion and a retried flush
+    runs nothing again."""
+    machine = Machine()
+    linker = Linker()
+    recorder = RecorderLibrary()
+    client = ClientLibrary()
+    for index, lib in enumerate((recorder, client)):
+        comp = Compartment(index, f"{lib.NAME}-comp", machine)
+        comp.vm_domain = machine.new_vm_domain(lib.NAME)
+        comp.address_space = comp.vm_domain.space
+        lib.install(machine, comp, linker)
+    channel = make_channel(
+        "queue:vm-rpc", machine, client, recorder,
+        options=GateOptions(queue_batch=1000),
+    )
+    machine.cpu.push_context(client.compartment.make_context("client"))
+    # Notification 1 (the doorbell) arrives; 2-5 (the return and all
+    # three resends) are lost.
+    plan = InjectionPlan(seed=1).drop_vm_notify(nth=2, count=4)
+    FaultInjector(plan).attach(types.SimpleNamespace(machine=machine))
+    for value in (1, 2, 3):
+        channel.submit("record", value)
+    try:
+        channel.flush()
+    except RPCTimeout:
+        channel.flush()  # a caller's retry
+    assert recorder.seen == [1, 2, 3]
+    assert channel.pending == 0
+    completions = channel.poll()
+    assert len(completions) == 3
+    assert all(isinstance(c.error, RPCTimeout) for c in completions)
 
 
 # --- ring memory is group-scoped ---------------------------------------------

@@ -81,18 +81,6 @@ def test_protect_unmapped_faults(space):
         space.protect(0x7000_0000, PAGE_SIZE, pkey=1)
 
 
-def test_iter_range_splits_at_page_boundary(space):
-    vaddr = space.map_new(2 * PAGE_SIZE)
-    chunks = list(space.iter_range(vaddr + PAGE_SIZE - 10, 20))
-    assert [size for _, size, _ in chunks] == [10, 10]
-
-
-def test_iter_range_negative_size(space):
-    vaddr = space.map_new(PAGE_SIZE)
-    with pytest.raises(ValueError):
-        list(space.iter_range(vaddr, -1))
-
-
 def test_shared_frames_alias_content(space, phys):
     # Map the same frames at two different addresses: writes through one
     # mapping must be visible through the other (shared-memory basis of
